@@ -45,12 +45,12 @@ __all__ = [
 ]
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, what: str = "coefficients") -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise InputError(f"coefficients must be exact rationals, got {type(x).__name__}")
+    raise InputError(f"{what} must be exact rationals, got {type(x).__name__}")
 
 
 class LinComb:
@@ -392,10 +392,10 @@ def eval_quasirandom(f, p) -> Fraction:
 
     Sends the class of a graph with v vertices and e edges to
     p^e (1-p)^(C(v,r)-e) |U|^(-v), extended linearly. Exact in Fraction
-    arithmetic; p must lie in [0, 1].
+    arithmetic; p must be a Fraction or int in [0, 1].
     """
     f = _coerce(f)
-    p = Fraction(p)
+    p = _as_fraction(p, "sample points")
     if p < 0 or p > 1:
         raise InputError(f"p must lie in [0, 1], got {p}")
     u = Fraction(1, len(f.label_set))

@@ -23,6 +23,7 @@ so round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -222,22 +223,26 @@ _CANON_CACHE: dict[Graph, tuple[Graph, int]] = {}
 def canonical(g: Graph) -> tuple[Graph, int]:
     """Canonical representative of g's isomorphism class, and |Aut(g)|.
 
-    The representative is the relabeling of g minimizing (label sequence,
-    edge segments grouped by largest vertex); isomorphic graphs map to the
-    identical `Graph` value. The automorphism count falls out of the same
-    search: it is the number of relabelings attaining the minimum.
+    The representative is the relabeling of g that minimizes, in order: the
+    label sequence, which is therefore sorted; then one edge segment per new
+    vertex i = 0..n-1, compared lexicographically. Segment i lists, for each
+    (r-1)-subset of the new vertices below i in lexicographic order, whether
+    that subset together with i is an edge, with absent < present.
+    Isomorphic graphs map to the identical `Graph` value. The automorphism
+    count falls out of the same search: it is the number of relabelings
+    attaining the minimum.
     """
     hit = _CANON_CACHE.get(g)
     if hit is not None:
         return hit
 
     n, r = g.n, g.r
+    target_labels = tuple(sorted(g.labels))
     if n <= 1 or len(g.edges) == 0:
-        labels = tuple(sorted(g.labels))
-        rep = Graph(r, n, labels, g.edges)
+        rep = Graph(r, n, target_labels, g.edges)
         aut = 1
-        for lab in set(labels):
-            c = labels.count(lab)
+        for lab in set(target_labels):
+            c = target_labels.count(lab)
             for i in range(2, c + 1):
                 aut *= i
         result = (rep, aut)
@@ -245,25 +250,38 @@ def canonical(g: Graph) -> tuple[Graph, int]:
         _CANON_CACHE[rep] = result
         return result
 
-    target_labels = tuple(sorted(g.labels))
     # old vertices usable at each new position, grouped by label
     slots: list[list[int]] = [
         [v for v in range(n) if g.labels[v] == target_labels[i]]
         for i in range(n)
     ]
-    edge_set = g.edge_set
+    # Segments are integers. An edge whose other r-1 vertices sit at new
+    # positions c_0 < ... < c_{r-2} sets bit sum_t C(n-1-c_t, r-1-t), the
+    # colex rank of the mirrored positions n-1-c. That rank falls as the
+    # positions rise lexicographically, so among the candidates for one
+    # position, integer order is segment order (the lexicographically first
+    # (r-1)-set is the most significant bit). seg[v] is old vertex v's
+    # segment against the placed vertices. Positions are placed in
+    # increasing order, so each edge accumulates its bit index as its
+    # vertices are placed; placing the (r-1)-th one sets the bit in the
+    # segment of the last, whose id is then the edge's `free` sum.
+    k = r - 1
+    binom = [[math.comb(a, j) for j in range(r)] for a in range(n)]
+    incident: list[list[int]] = [[] for _ in range(n)]  # vertex -> edge ids
+    seg = [0] * n
+    for ei, e in enumerate(g.edges):
+        for v in e:
+            incident[v].append(ei)
+        if k == 0:  # r = 1: the edge alone is the segment
+            seg[e[0]] = 1
+    placed = [0] * len(g.edges)  # placed vertices per edge
+    index = [0] * len(g.edges)  # bit index of those vertices' positions
+    free = [sum(e) for e in g.edges]  # sum of unplaced vertices per edge
+    pos = [-1] * n  # old vertex -> new position, -1 while unplaced
     perm = [0] * n  # new position -> old vertex
-    used = [False] * n
-    best: list[tuple[bool, ...] | None] = [None] * n
+    best = [-1] * n
     best_perm = [0] * n
     count = 0
-
-    def segment(i: int, v: int) -> tuple[bool, ...]:
-        # membership bits for r-sets whose largest new vertex is i
-        return tuple(
-            tuple(sorted([perm[c] for c in rest] + [v])) in edge_set
-            for rest in combinations(range(i), r - 1)
-        )
 
     def dfs(i: int) -> None:
         nonlocal count
@@ -271,32 +289,50 @@ def canonical(g: Graph) -> tuple[Graph, int]:
             count += 1
             best_perm[:] = perm
             return
-        for v in slots[i]:
-            if used[v]:
+        # only candidates with the least segment can reach the minimum; each
+        # of them may, so all are searched
+        cands = [v for v in slots[i] if pos[v] < 0]
+        low = min([seg[v] for v in cands])
+        ref = best[i]
+        if ref < 0:
+            best[i] = low
+        elif low > ref:
+            return
+        elif low < ref:
+            best[i] = low
+            best[i + 1 :] = [-1] * (n - 1 - i)
+            count = 0
+        rank = binom[n - 1 - i]
+        for v in cands:
+            if seg[v] != low:
                 continue
-            seg = segment(i, v)
-            ref = best[i]
-            if ref is not None:
-                if seg > ref:
-                    continue
-                if seg < ref:
-                    best[i] = seg
-                    for d in range(i + 1, n):
-                        best[d] = None
-                    count = 0
-            else:
-                best[i] = seg
-            used[v] = True
+            pos[v] = i
             perm[i] = v
+            for ei in incident[v]:
+                t = placed[ei]
+                placed[ei] = t + 1
+                free[ei] -= v
+                if t < k:
+                    index[ei] += rank[k - t]
+                    if t + 1 == k:
+                        seg[free[ei]] += 1 << index[ei]
             dfs(i + 1)
-            used[v] = False
+            for ei in incident[v]:
+                t = placed[ei] - 1
+                placed[ei] = t
+                if t < k:
+                    if t + 1 == k:
+                        seg[free[ei]] -= 1 << index[ei]
+                    index[ei] -= rank[k - t]
+                free[ei] += v
+            pos[v] = -1
 
     dfs(0)
-    # best_perm maps new position -> old vertex; invert for relabel_vertices
-    inv = [0] * n
-    for newpos, old in enumerate(best_perm):
-        inv[old] = newpos
-    rep = g.relabel_vertices(tuple(inv))
+    new = [0] * n  # old vertex -> new position in the representative
+    for i, old in enumerate(best_perm):
+        new[old] = i
+    edges = tuple(tuple(new[v] for v in e) for e in g.edges)
+    rep = Graph(r, n, target_labels, edges)  # Graph sorts the edges
     result = (rep, count)
     _CANON_CACHE[g] = result
     _CANON_CACHE[rep] = result

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .algebra import (
     LinComb,
+    _as_fraction,
     alg_equal,
     coeff_positive_at,
     eval_quasirandom,
@@ -159,7 +160,7 @@ def eval_nind_quasirandom(g: Graph, p: Fraction, u: int = 1) -> Fraction:
     """Quasirandom evaluation of the supergraph sum of g, computed by
     reorganizing the sum binomially over the absent edge slots (no
     enumeration of supergraph classes)."""
-    p = Fraction(p)
+    p = _as_fraction(p, "sample points")
     slots = math.comb(g.n, g.r)
     miss = slots - len(g.edges)
     total = Fraction(0)

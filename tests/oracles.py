@@ -3,6 +3,9 @@
 Everything here is deliberately naive: full enumeration over all maps or
 all permutations, no pruning, no shared code with the package internals
 beyond the Graph value type. Slow but obviously correct on small inputs.
+The one exception is `reference_canonical`, the package's earlier
+canonical search, which pins the exact representatives the current one
+must keep producing.
 """
 
 from itertools import combinations, permutations, product as iter_product
@@ -28,6 +31,78 @@ def brute_canonical(g: Graph):
     if best_graph is None:  # n == 0
         return g, 1
     return best_graph, aut
+
+
+def reference_canonical(g: Graph):
+    """The package's original canonical search, kept as the oracle for the
+    integer-segment one: a depth-first search over relabelings that
+    compares each new vertex's edge segment as a tuple of bools, built by
+    sorting and probing every (r-1)-subset of the placed vertices. Returns
+    the lexicographically least relabeling and the number of relabelings
+    attaining it, without caching."""
+    n, r = g.n, g.r
+    if n <= 1 or len(g.edges) == 0:
+        labels = tuple(sorted(g.labels))
+        rep = Graph(r, n, labels, g.edges)
+        aut = 1
+        for lab in set(labels):
+            c = labels.count(lab)
+            for i in range(2, c + 1):
+                aut *= i
+        return rep, aut
+
+    target_labels = tuple(sorted(g.labels))
+    # old vertices usable at each new position, grouped by label
+    slots: list[list[int]] = [
+        [v for v in range(n) if g.labels[v] == target_labels[i]]
+        for i in range(n)
+    ]
+    edge_set = g.edge_set
+    perm = [0] * n  # new position -> old vertex
+    used = [False] * n
+    best: list[tuple[bool, ...] | None] = [None] * n
+    best_perm = [0] * n
+    count = 0
+
+    def segment(i: int, v: int) -> tuple[bool, ...]:
+        # membership bits for r-sets whose largest new vertex is i
+        return tuple(
+            tuple(sorted([perm[c] for c in rest] + [v])) in edge_set
+            for rest in combinations(range(i), r - 1)
+        )
+
+    def dfs(i: int) -> None:
+        nonlocal count
+        if i == n:
+            count += 1
+            best_perm[:] = perm
+            return
+        for v in slots[i]:
+            if used[v]:
+                continue
+            seg = segment(i, v)
+            ref = best[i]
+            if ref is not None:
+                if seg > ref:
+                    continue
+                if seg < ref:
+                    best[i] = seg
+                    for d in range(i + 1, n):
+                        best[d] = None
+                    count = 0
+            else:
+                best[i] = seg
+            used[v] = True
+            perm[i] = v
+            dfs(i + 1)
+            used[v] = False
+
+    dfs(0)
+    # best_perm maps new position -> old vertex; invert for relabel_vertices
+    inv = [0] * n
+    for newpos, old in enumerate(best_perm):
+        inv[old] = newpos
+    return g.relabel_vertices(tuple(inv)), count
 
 
 def brute_inj_count(g: Graph, h: Graph) -> int:

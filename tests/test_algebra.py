@@ -197,6 +197,14 @@ def test_eval_quasirandom_frozen():
         eval_quasirandom(unit(2), Fraction(3, 2))
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, "1/2"])
+def test_eval_quasirandom_rejects_inexact_p(p):
+    # 0.1 would otherwise be evaluated at its binary float value
+    with pytest.raises(InputError):
+        eval_quasirandom(LinComb.from_graph(K3), p)
+    assert eval_quasirandom(LinComb.from_graph(K3), 1) == 1
+
+
 def test_eval_quasirandom_nind_power():
     for p in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
         assert eval_quasirandom(nind(cycle_graph(4)), p) == p**4

@@ -1,5 +1,6 @@
 """Graph values, canonical representatives, isomorphism, text format."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -23,7 +24,7 @@ from hypalg import (
     path_graph,
     single_vertex,
 )
-from oracles import brute_canonical
+from oracles import brute_canonical, reference_canonical
 
 
 def test_edge_normalization():
@@ -139,6 +140,32 @@ def test_canonical_exhaustive_small():
         # distinct classes -> distinct representatives
         reps = list(class_of.values())
         assert len(set(reps)) == len(reps)
+
+
+
+def _random_graph(rng, r, n, label_count=1):
+    slots = combinations(range(n), r)
+    density = rng.random()
+    edges = tuple(e for e in slots if rng.random() < density)
+    labels = tuple(rng.randrange(label_count) for _ in range(n))
+    return Graph(r, n, labels, edges)
+
+
+def test_canonical_matches_reference_search():
+    # the integer-segment search returns exactly the representative and
+    # automorphism count of the original tuple-segment search
+    graphs = []
+    for r in (2, 3):
+        for n in range(6):
+            slots = list(combinations(range(n), r))
+            for bits in range(1 << len(slots)):
+                edges = tuple(s for i, s in enumerate(slots) if bits >> i & 1)
+                graphs.append(Graph(r, n, None, edges))
+    rng = random.Random(20412)
+    graphs += [_random_graph(rng, 2, rng.choice((6, 7)), 3) for _ in range(150)]
+    graphs += [_random_graph(rng, r, 6, 2) for r in (3, 4, 5) for _ in range(30)]
+    for g in graphs:
+        assert canonical(g) == reference_canonical(g), g
 
 
 def test_canonical_respects_labels():

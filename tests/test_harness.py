@@ -85,6 +85,13 @@ def test_eval_nind_quasirandom_host_scaling():
     assert eval_nind_quasirandom(K2, p, u=2) == p * Fraction(1, 4)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, "1/2"])
+def test_eval_nind_quasirandom_rejects_inexact_p(p):
+    with pytest.raises(InputError):
+        eval_nind_quasirandom(K2, p)
+    assert eval_nind_quasirandom(K2, 1) == 1
+
+
 # ---------------------------------------------------------------------------
 # bound polynomials and the ladder pipeline
 
