@@ -157,16 +157,16 @@ def _exact_step(report, description, lhs: LinComb, rhs: LinComb) -> bool:
 
 
 def eval_nind_quasirandom(g: Graph, p: Fraction, u: int = 1) -> Fraction:
-    """Quasirandom evaluation of the supergraph sum of g, computed by
-    reorganizing the sum binomially over the absent edge slots (no
-    enumeration of supergraph classes)."""
+    """Quasirandom evaluation of the supergraph sum of g, in closed form.
+
+    With e edges among C(n, r) slots, the supergraphs adding j of the
+    m = C(n, r) - e absent slots evaluate to p^(e+j) (1-p)^(m-j) |U|^-n, so
+    by the binomial theorem the sum is
+    p^e |U|^-n sum_j C(m, j) p^j (1-p)^(m-j) = p^e |U|^-n (p + 1 - p)^m
+    = p^e |U|^-n (no enumeration of supergraph classes).
+    """
     p = _as_fraction(p, "sample points")
-    slots = math.comb(g.n, g.r)
-    miss = slots - len(g.edges)
-    total = Fraction(0)
-    for j in range(miss + 1):
-        total += math.comb(miss, j) * p ** (len(g.edges) + j) * (1 - p) ** (miss - j)
-    return total * Fraction(1, u) ** g.n
+    return p ** len(g.edges) * Fraction(1, u) ** g.n
 
 
 def _chain_eval_step(report, description, pairs_by_p) -> bool:
@@ -194,7 +194,7 @@ def _chain_eval_step(report, description, pairs_by_p) -> bool:
 def _normalize_samples(p_samples) -> tuple[Fraction, ...]:
     if p_samples is None:
         return DEFAULT_P_SAMPLES
-    out = tuple(Fraction(p) for p in p_samples)
+    out = tuple(_as_fraction(p, "sample points") for p in p_samples)
     for p in out:
         if p < 0 or p > 1:
             raise InputError(f"sample point {p} outside [0, 1]")
@@ -516,7 +516,7 @@ def verify_hypergraph(
 def _eval_all_label_mass(f: LinComb, p: Fraction, ell: int) -> Fraction:
     """Evaluation against hosts carrying only the label ell: a term counts
     with its quasirandom edge weight iff every vertex wears ell."""
-    p = Fraction(p)
+    p = _as_fraction(p, "sample points")
     total = Fraction(0)
     for g, c in f.coeffs.items():
         if all(lab == ell for lab in g.labels):
@@ -675,7 +675,7 @@ class BoundPolynomial:
         norm = []
         for e, c in self.coeffs:
             e = int(e)
-            c = Fraction(c)
+            c = _as_fraction(c)
             if e < 0:
                 raise InputError(f"exponent must be >= 0, got {e}")
             if e in seen:
@@ -691,7 +691,7 @@ class BoundPolynomial:
         return cls(tuple(d.items()))
 
     def __call__(self, p) -> Fraction:
-        p = Fraction(p)
+        p = _as_fraction(p, "sample points")
         return sum((c * p**e for e, c in self.coeffs), Fraction(0))
 
     def to_text(self) -> str:

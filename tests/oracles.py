@@ -3,14 +3,25 @@
 Everything here is deliberately naive: full enumeration over all maps or
 all permutations, no pruning, no shared code with the package internals
 beyond the Graph value type. Slow but obviously correct on small inputs.
-The one exception is `reference_canonical`, the package's earlier
-canonical search, which pins the exact representatives the current one
-must keep producing.
+Two exceptions: `reference_canonical`, the package's earlier canonical
+search, which pins the exact representatives the current one must keep
+producing; and `brute_well_defined`, which applies the rules through the
+package's `tau_apply` and pulls graphs back through `induced_subgraph`
+and `apply_functor_injection`, so that it checks the rules as they are
+actually evaluated.
 """
 
 from itertools import combinations, permutations, product as iter_product
+from types import SimpleNamespace
 
-from hypalg import Graph
+from hypalg import (
+    Graph,
+    Injection,
+    apply_functor_injection,
+    functor_size,
+    induced_subgraph,
+    tau_apply,
+)
 
 
 def brute_canonical(g: Graph):
@@ -175,3 +186,45 @@ def all_graph_classes(r: int, n: int):
             seen.add(key)
             reps.append(key_graph)
     return reps
+
+
+def brute_well_defined(
+    eta,
+    r,
+    base_r,
+    edge_template,
+    labels=frozenset({0}),
+    base_labels=frozenset({0}),
+    vertex_rules=(),
+    default_label=0,
+):
+    """Whether template rules commute with every permutation of [base_r],
+    by enumerating every graph h on eta([base_r]) and every permutation
+    sigma: tau(h pulled back along eta(sigma)) must equal tau(h) pulled back
+    along sigma. Takes the fields of `UpwardTransformation` without
+    constructing one (construction rejects ill-defined rules). Returns None
+    when the rules commute, else the first failing permutation, as the
+    image tuple of sigma."""
+    tau = SimpleNamespace(
+        eta=eta,
+        r=r,
+        base_r=base_r,
+        edge_template=edge_template,
+        labels=frozenset(labels),
+        base_labels=frozenset(base_labels),
+        vertex_rules=tuple(vertex_rules),
+        default_label=default_label,
+    )
+    n_rule = functor_size(eta, base_r)
+    slot_list = list(combinations(range(n_rule), r))
+    fill = (min(tau.labels),) * n_rule
+    for bits in range(1 << len(slot_list)):
+        edges = tuple(slot_list[i] for i in range(len(slot_list)) if bits >> i & 1)
+        h = Graph(r, n_rule, fill, edges)
+        base = tau_apply(tau, h, base_r)
+        for sigma in list(permutations(range(base_r)))[1:]:  # skip the identity
+            alpha = Injection(base_r, base_r, sigma)
+            h_perm = induced_subgraph(h, apply_functor_injection(eta, alpha))
+            if tau_apply(tau, h_perm, base_r) != induced_subgraph(base, alpha):
+                return sigma
+    return None

@@ -122,8 +122,9 @@ def _shipped_gadgets():
 
 
 def run_tau_well_definedness():
-    """Every shipped gadget's transformation survives the exhaustive
-    permutation check (construction runs it), in both label variants; the
+    """Every shipped gadget's transformation passes the well-definedness
+    check (construction runs it: eta of each generator of Sym(base_r) must
+    map the edge template onto itself), in both label variants; the
     direction-sensitive long-path gadget is rejected as the negative
     control."""
     checked = 0

@@ -1,9 +1,14 @@
 """Downward functors, template transformations, and the preimage operator."""
 
+import dataclasses
+import math
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
+import property_suites
 from hypalg import (
     ConstF,
     Graph,
@@ -19,6 +24,7 @@ from hypalg import (
     alg_equal,
     apply_functor_injection,
     apply_functor_set,
+    blowup_scheme,
     box_scheme,
     check_multiplicative,
     complete_graph,
@@ -30,10 +36,12 @@ from hypalg import (
     nind,
     operator_apply,
     path_graph,
+    path_scheme,
     point,
     subdivide,
     tau_apply,
 )
+from oracles import brute_well_defined
 
 
 def test_apply_functor_set_orderings():
@@ -179,10 +187,151 @@ def test_ill_defined_transformation_rejected():
         UpwardTransformation(eta, 2, 2, template)
 
 
-def test_well_definedness_guard():
+def test_well_definedness_has_no_size_ceiling():
+    # 66 slots on eta([2]): far beyond enumerating the 2^66 graphs
     eta = ProductF(SubsetsF(1), ConstF(tuple(range(6))))
-    with pytest.raises(ResourceError, match="2\\^"):
-        UpwardTransformation(eta, 2, 2, Graph(2, 12))
+    empty = UpwardTransformation(eta, 2, 2, Graph(2, 12))
+    assert tau_apply(empty, Graph(2, 18), 3) == complete_graph(2, 3)
+    # copy c of vertex 0 joined to copy c of vertex 1
+    matching = Graph(2, 12, None, tuple((c, 6 + c) for c in range(6)))
+    tau = UpwardTransformation(eta, 2, 2, matching)
+    h = Graph(2, 18, None, tuple((c, 6 + c) for c in range(6)) + ((6, 12),))
+    assert tau_apply(tau, h, 3) == Graph(2, 3, None, ((0, 1),))
+    # blowup:4 has 28 slots on eta([2])
+    scheme = blowup_scheme(4)
+    sub = subdivide(scheme, path_graph(3))
+    assert tau_apply(scheme.transformation(), sub) == path_graph(3)
+
+
+def _constructs(fields):
+    try:
+        UpwardTransformation(**fields)
+    except InputError as exc:
+        assert "ill-defined (witness permutation" in str(exc)
+        return False
+    return True
+
+
+def _random_functor(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        if rng.random() < 0.7:
+            return SubsetsF(rng.choice((0, 1, 1, 2)))
+        return ConstF(tuple(range(rng.choice((1, 2)))))
+    cls = rng.choice((UnionF, ProductF))
+    return cls(_random_functor(rng, depth - 1), _random_functor(rng, depth - 1))
+
+
+def _slot_orbits(eta, r, k, group):
+    """Orbits of r-sets of eta([k]) under eta of a permutation group."""
+    n_rule = functor_size(eta, k)
+    slots = list(combinations(range(n_rule), r))
+    moves = [apply_functor_injection(eta, Injection(k, k, g)).image for g in group]
+    seen, orbits = set(), []
+    for s in slots:
+        if s in seen:
+            continue
+        orbit = {tuple(sorted(pos[v] for v in s)) for pos in moves}
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return slots, orbits
+
+
+# Sym(3) and its subgroups <(0 1)> and <(0 1 2)>, so that templates fixed by
+# one generator but not the other occur
+_SYM3_GROUPS = (
+    tuple(permutations(range(3))),
+    ((0, 1, 2), (1, 0, 2)),
+    ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+)
+
+
+def _random_rule_fields(rng):
+    """Fields of a random small rule set: a union of slot orbits under
+    Sym(base_r) or one of its subgroups, then with probability 1/3 one slot
+    of a non-trivial orbit toggled (usually breaking symmetry), sometimes
+    with a vertex rule and a two-label input side."""
+    while True:
+        eta = _random_functor(rng, 2)
+        k = rng.choice((2, 3))
+        r = rng.choice((1, 2, 2, 3))
+        n_rule = functor_size(eta, k)
+        if n_rule >= r and math.comb(n_rule, r) <= (10 if k == 2 else 9):
+            break
+    group = rng.choice(_SYM3_GROUPS) if k == 3 else ((0, 1), (1, 0))
+    slots, orbits = _slot_orbits(eta, r, k, group)
+    edges = {s for orbit in orbits if rng.random() < 0.5 for s in orbit}
+    moved = [s for orbit in orbits if len(orbit) > 1 for s in orbit]
+    if moved and rng.random() < 1 / 3:
+        edges ^= {rng.choice(moved)}
+    fields = {
+        "eta": eta,
+        "r": r,
+        "base_r": k,
+        "edge_template": Graph(r, n_rule, None, tuple(sorted(edges))),
+        "labels": frozenset({0, 1}) if rng.random() < 0.3 else frozenset({0}),
+    }
+    n_vert = functor_size(eta, 1)
+    if rng.random() < 0.3:
+        vslots = list(combinations(range(n_vert), r))
+        vedges = tuple(s for s in vslots if rng.random() < 0.5)
+        fields["base_labels"] = frozenset({0, 1})
+        fields["vertex_rules"] = ((0, Graph(r, n_vert, None, vedges)),)
+        fields["default_label"] = 1
+    return fields
+
+
+def test_well_definedness_matches_brute_force():
+    # shipped gadgets with at most 2^10 graphs on eta([base_r])
+    cases = []
+    for _, scheme in property_suites._shipped_gadgets():
+        for labeled in (False, True):
+            tau = scheme.transformation(labeled=labeled)
+            if math.comb(functor_size(tau.eta, tau.base_r), tau.r) <= 10:
+                fields = dataclasses.fields(tau)
+                cases.append({f.name: getattr(tau, f.name) for f in fields})
+    assert len(cases) == 28
+    # negative controls: the direction-sensitive path gadget, and an
+    # asymmetric template over Union(Subsets(0), Subsets(1))
+    path = path_scheme(3)
+    cases.append(
+        {
+            "eta": path.eta(),
+            "r": 2,
+            "base_r": 2,
+            "edge_template": path.f_e,
+        }
+    )
+    cases.append(
+        {
+            "eta": UnionF(SubsetsF(0), SubsetsF(1)),
+            "r": 2,
+            "base_r": 2,
+            "edge_template": Graph(2, 3, None, ((0, 1),)),
+        }
+    )
+    # each generator is needed: over ordered pairs of [3] (r = 1), the
+    # template {(0,1), (1,2), (2,0)} is fixed by (0 1 2) but not by (0 1),
+    # and {(0,1), (1,0)} by (0 1) but not by (0 1 2)
+    pairs = ProductF(SubsetsF(1), SubsetsF(1))
+    for template in (((1,), (5,), (6,)), ((1,), (3,))):
+        cases.append(
+            {
+                "eta": pairs,
+                "r": 1,
+                "base_r": 3,
+                "edge_template": Graph(1, 9, None, template),
+            }
+        )
+    rng = random.Random(31337)
+    cases += [_random_rule_fields(rng) for _ in range(200)]
+    verdicts = []
+    for fields in cases:
+        expected = brute_well_defined(**fields) is None
+        assert _constructs(fields) == expected, fields
+        verdicts.append(expected)
+    assert verdicts[:28] == [True] * 28
+    assert verdicts[28:32] == [False] * 4
+    assert verdicts[32:].count(True) >= 40 and verdicts[32:].count(False) >= 40
 
 
 def test_operator_budget():

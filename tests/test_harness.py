@@ -30,6 +30,7 @@ from hypalg import (
     verify_m5,
     verify_tensor_power,
 )
+from hypalg.harness import _eval_all_label_mass
 
 K2 = complete_graph(2, 2)
 
@@ -74,10 +75,13 @@ def test_eval_nind_quasirandom_collapses_to_edge_power(g, p):
 
 
 def test_eval_nind_quasirandom_matches_generic_evaluation():
-    for g in [K2, path_graph(2), Graph(2, 3)]:
+    cases = [(g, {0}) for g in (K2, path_graph(2), Graph(2, 3), complete_graph(3, 4))]
+    # two labels: every term carries |U|^-n = 2^-n
+    cases += [(K2, {0, 1}), (Graph(2, 3, (0, 1, 1), ((0, 2),)), {0, 1})]
+    for g, label_set in cases:
         for p in (Fraction(1, 4), Fraction(2, 3)):
-            direct = eval_quasirandom(nind(LinComb.from_graph(g)), p)
-            assert eval_nind_quasirandom(g, p) == direct
+            direct = eval_quasirandom(nind(LinComb.from_graph(g, label_set)), p)
+            assert eval_nind_quasirandom(g, p, u=len(label_set)) == direct
 
 
 def test_eval_nind_quasirandom_host_scaling():
@@ -90,6 +94,22 @@ def test_eval_nind_quasirandom_rejects_inexact_p(p):
     with pytest.raises(InputError):
         eval_nind_quasirandom(K2, p)
     assert eval_nind_quasirandom(K2, 1) == 1
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: verify_goodman_lift(p_samples=(Fraction(1, 2), p)),
+        CITED_FIVE_CYCLE_POLY,
+        lambda p: _eval_all_label_mass(LinComb.from_graph(K2), p, 0),
+    ],
+    ids=["sample-list", "bound-polynomial", "all-label-mass"],
+)
+def test_sample_points_must_be_exact(evaluate):
+    with pytest.raises(InputError, match="exact rationals"):
+        evaluate(0.5)
+    evaluate(Fraction(1, 3))
+    evaluate(1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +127,8 @@ def test_bound_polynomial_basics():
         BoundPolynomial(((-1, Fraction(1)),))
     with pytest.raises(InputError):
         BoundPolynomial(((2, Fraction(1)), (2, Fraction(1))))
+    with pytest.raises(InputError, match="exact rationals"):
+        BoundPolynomial(((2, 0.5),))
 
 
 def test_cited_polynomial_is_frozen():
