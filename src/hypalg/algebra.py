@@ -5,13 +5,15 @@ graphs (keyed by canonical representative) with Fraction coefficients, for
 a fixed uniformity r and finite label set U. The product of two classes
 sums over all graphs on the disjoint union of their vertex sets restricting
 to each factor, with every mixed r-set free; `nind` sums over supergraphs
-on the same vertices; `lift` rewrites an element as a combination of
-classes of one fixed order by repeatedly multiplying with the sum of
-single-vertex classes (which is the identity in the quotient algebra).
+on the same vertices. Both are one kernel: fixed base edges plus any subset
+of free r-sets, summed by class. `lift` rewrites an element as a
+combination of classes of one fixed order by repeated product with the sum
+of all single-vertex classes, the identity of the quotient algebra.
 
-Equality in the quotient is decided by `alg_equal` via lifting both sides
-to a common order. `eval_quasirandom` evaluates the homomorphism sending a
-class with v vertices and e edges to p^e (1-p)^(C(v,r)-e) |U|^(-v).
+Equality in the quotient is decided by `alg_equal`, which compares the
+lifts of both sides at their largest term order. `eval_quasirandom`
+evaluates the homomorphism sending a class with v vertices and e edges to
+p^e (1-p)^(C(v,r)-e) |U|^(-v).
 
 All arithmetic is exact (fractions.Fraction); nothing here is numeric.
 """
@@ -23,7 +25,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, SeparationError
+from .errors import InputError
 from .graphs import Graph, canonical, graph_from_text, graph_to_text
 
 __all__ = [
@@ -53,6 +55,15 @@ def _as_fraction(x, what: str = "coefficients") -> Fraction:
     raise InputError(f"{what} must be exact rationals, got {type(x).__name__}")
 
 
+def _add(out: dict, key, c: Fraction) -> None:
+    """Add c to out[key], dropping the key when the sum is zero."""
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
 class LinComb:
     """A finite formal sum of graph classes with Fraction coefficients.
 
@@ -80,10 +91,7 @@ class LinComb:
                 raise InputError(
                     f"term {g!r} uses labels outside {sorted(label_set)}"
                 )
-            key = canonical(g)[0]
-            norm[key] = norm.get(key, Fraction(0)) + c
-            if norm[key] == 0:
-                del norm[key]
+            _add(norm, canonical(g)[0], c)
         self.r = r
         self.label_set = label_set
         self.coeffs = norm
@@ -135,9 +143,7 @@ class LinComb:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + c
-            if out[g] == 0:
-                del out[g]
+            _add(out, g, c)
         return LinComb._raw(self.r, self.label_set, out)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
@@ -216,11 +222,12 @@ def point(r: int, label: int, label_set=frozenset({0})) -> LinComb:
 
 
 def point_sum(r: int, label_set=frozenset({0})) -> LinComb:
-    """Sum of single-vertex classes over all labels; acts as identity
-    in the quotient algebra."""
+    """Sum of all single-vertex classes, the identity of the quotient
+    algebra: every label, and for r = 1 with and without the edge (0,)."""
     out = LinComb.zero(r, label_set)
-    for lab in sorted(label_set):
-        out = out + point(r, lab, label_set)
+    lone = list(combinations(range(1), r))  # the r-sets of one vertex
+    for lab in sorted(out.label_set):
+        _add_spanned(out.coeffs, Fraction(1), r, 1, (lab,), (), lone)
     return out
 
 
@@ -244,36 +251,34 @@ def order(f) -> int:
 # product, supergraph sum, lift
 
 
+def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free) -> None:
+    """Add c to the class of every graph on [n] with these labels whose
+    edges are `base` plus a subset of `free`, subsets in binary order."""
+    for bits in range(1 << len(free)):
+        extra = [free[i] for i in range(len(free)) if bits >> i & 1]
+        _add(out, canonical(Graph(r, n, labels, base + tuple(extra)))[0], c)
+
+
+def _product(r: int, f: dict, g: dict) -> dict:
+    """Coefficients of the product of two coefficient dicts."""
+    out: dict[Graph, Fraction] = {}
+    for gf, a in f.items():
+        n1 = gf.n
+        for gg, b in g.items():
+            n = n1 + gg.n
+            base = gf.edges + tuple(tuple(v + n1 for v in e) for e in gg.edges)
+            cross = [e for e in combinations(range(n), r) if e[0] < n1 <= e[-1]]
+            _add_spanned(out, a * b, r, n, gf.labels + gg.labels, base, cross)
+    return out
+
+
 def product(f, g) -> LinComb:
     """Algebra product: all graphs on the disjoint vertex union restricting
     to the two factors, every r-set meeting both sides chosen freely."""
     f = _coerce(f)
     g = _coerce(g, f.label_set)
     f._check_compatible(g)
-    r = f.r
-    out: dict[Graph, Fraction] = {}
-    for gf, a in f.coeffs.items():
-        for gg, b in g.coeffs.items():
-            c = a * b
-            n1, n2 = gf.n, gg.n
-            n = n1 + n2
-            labels = gf.labels + gg.labels
-            base = list(gf.edges) + [
-                tuple(v + n1 for v in e) for e in gg.edges
-            ]
-            cross = [
-                e
-                for e in combinations(range(n), r)
-                if e[0] < n1 and e[-1] >= n1
-            ]
-            for bits in range(1 << len(cross)):
-                extra = [cross[i] for i in range(len(cross)) if bits >> i & 1]
-                h = Graph(r, n, labels, tuple(base + extra))
-                key = canonical(h)[0]
-                out[key] = out.get(key, Fraction(0)) + c
-                if out[key] == 0:
-                    del out[key]
-    return LinComb._raw(r, f.label_set, out)
+    return LinComb._raw(f.r, f.label_set, _product(f.r, f.coeffs, g.coeffs))
 
 
 def nind(f, label_set=None) -> LinComb:
@@ -282,67 +287,32 @@ def nind(f, label_set=None) -> LinComb:
     f = _coerce(f, label_set)
     out: dict[Graph, Fraction] = {}
     for g, c in f.coeffs.items():
-        missing = [
-            e for e in combinations(range(g.n), f.r) if e not in g.edge_set
-        ]
-        for bits in range(1 << len(missing)):
-            extra = [missing[i] for i in range(len(missing)) if bits >> i & 1]
-            h = Graph(f.r, g.n, g.labels, g.edges + tuple(extra))
-            key = canonical(h)[0]
-            out[key] = out.get(key, Fraction(0)) + c
-            if out[key] == 0:
-                del out[key]
+        missing = [e for e in combinations(range(g.n), f.r) if e not in g.edge_set]
+        _add_spanned(out, c, f.r, g.n, g.labels, g.edges, missing)
     return LinComb._raw(f.r, f.label_set, out)
-
-
-def _extend_by_one(r: int, label_set: frozenset, coeffs: dict) -> dict:
-    """One lift step: multiply by the sum of points, i.e. append a vertex
-    with every label and every set of edges through it."""
-    labs = sorted(label_set)
-    out: dict[Graph, Fraction] = {}
-    for g, c in coeffs.items():
-        k = g.n
-        through = [rest + (k,) for rest in combinations(range(k), r - 1)]
-        for lab in labs:
-            labels = g.labels + (lab,)
-            for bits in range(1 << len(through)):
-                extra = [through[i] for i in range(len(through)) if bits >> i & 1]
-                h = Graph(r, k + 1, labels, g.edges + tuple(extra))
-                key = canonical(h)[0]
-                out[key] = out.get(key, Fraction(0)) + c
-                if out[key] == 0:
-                    del out[key]
-    return out
 
 
 def lift(f, n: int) -> UniformRep:
     """Rewrite f as an equal element of the algebra supported on order n.
 
-    Requires n >= the order of every term. Each step multiplies by the
-    point sum, which is the identity in the quotient, so the result is the
-    same algebra element in uniform shape.
+    Requires n >= the order of every term. Lifting is repeated product with
+    the point sum, the identity of the quotient: terms join in order of
+    their vertex count and each step multiplies by it, so a term of order
+    k is multiplied n - k times and classes merge after every step.
     """
     f = _coerce(f)
     if n < order(f):
         raise InputError(
             f"cannot lift to order {n}: a term already has order {order(f)}"
         )
-    # process terms in order buckets so each graph is extended exactly
-    # (n - its order) times, merging classes after every step
-    buckets: dict[int, dict[Graph, Fraction]] = {}
-    for g, c in f.coeffs.items():
-        buckets.setdefault(g.n, {})[g] = c
+    points = point_sum(f.r, f.label_set).coeffs
     current: dict[Graph, Fraction] = {}
-    for k in range(0, n + 1):
-        if k in buckets:
-            for g, c in buckets[k].items():
-                current[g] = current.get(g, Fraction(0)) + c
-                if current[g] == 0:
-                    del current[g]
-        if k == n:
-            break
-        if current:
-            current = _extend_by_one(f.r, f.label_set, current)
+    for k in range(n + 1):
+        for g, c in f.coeffs.items():
+            if g.n == k:
+                _add(current, g, c)
+        if k < n and current:
+            current = _product(f.r, current, points)
     return UniformRep(LinComb._raw(f.r, f.label_set, current), n)
 
 
@@ -353,26 +323,21 @@ def lift(f, n: int) -> UniformRep:
 def alg_equal(f, g) -> bool:
     """Whether f and g are the same element of the quotient algebra.
 
-    Both sides are lifted to the maximum term order and compared exactly.
-    Lift-equality always implies algebra equality. For label sets of size
-    one a mismatch at that order is conclusive; otherwise the mismatch is
-    re-checked one order higher and a disagreement between the two verdicts
-    raises SeparationError rather than guessing.
+    Both sides are lifted to the maximum term order n and compared; the
+    verdict is conclusive. Lifting multiplies by the identity, so equal
+    lifts are equal elements. Conversely, order-n classes are linearly
+    independent in the quotient (Razborov, "Flag algebras", 2007): for a
+    labeled graph H on [n], the probability phi_H(F) that a uniformly
+    random injection [v(F)] -> [n] pulls H back to F is a class function
+    with phi_H(F) = phi_H(F * point_sum) while v(F) < n, so a linear
+    functional on the quotient, and on order-n classes it is nonzero only
+    at the class of H.
     """
     f = _coerce(f)
     g = _coerce(g, f.label_set)
     f._check_compatible(g)
     n = max(order(f), order(g))
-    eq = lift(f, n).lincomb == lift(g, n).lincomb
-    if eq or len(f.label_set) == 1:
-        return eq
-    eq_next = lift(f, n + 1).lincomb == lift(g, n + 1).lincomb
-    if eq_next != eq:
-        raise SeparationError(
-            f"equality verdict changed between orders {n} and {n + 1}; "
-            "minimal-order comparison does not separate these elements"
-        )
-    return eq
+    return lift(f, n).lincomb == lift(g, n).lincomb
 
 
 def coeff_positive_at(f, n: int, eps=Fraction(0)) -> bool:

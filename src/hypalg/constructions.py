@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import permutations
 
-from .algebra import LinComb, UniformRep, extend_label_set, nind
+from .algebra import LinComb, UniformRep, extend_label_set, nind, order
 from .errors import InputError
 from .functors import (
     ConstF,
@@ -455,15 +455,9 @@ class LabeledLift:
 
     @classmethod
     def of(cls, f0, ell: int) -> "LabeledLift":
-        if isinstance(f0, LinComb):
-            orders = {g.n for g in f0.coeffs}
-            if len(orders) > 1:
-                raise InputError(
-                    f"label lift needs a uniform-order element; found orders "
-                    f"{sorted(orders)}"
-                )
-            f0 = UniformRep(f0, orders.pop() if orders else 0)
         lifted = lift_labels(f0, ell)
+        if isinstance(f0, LinComb):
+            f0 = UniformRep(f0, order(f0))
         return cls(f0, int(ell), lifted)
 
 

@@ -1,12 +1,11 @@
 """Exception types shared across hypalg.
 
-Three failure modes are distinguished so callers can react differently:
-malformed input (caller bug), a computation that would exceed an explicit
-resource budget (caller may retry with a larger budget), and an internal
-soundness check tripping (report upstream, never ignore).
+Two failure modes are distinguished so callers can react differently:
+malformed input (caller bug) and a computation that would exceed an
+explicit resource budget (caller may retry with a larger budget).
 """
 
-__all__ = ["InputError", "ResourceError", "SeparationError"]
+__all__ = ["InputError", "ResourceError"]
 
 
 class InputError(ValueError):
@@ -19,15 +18,4 @@ class ResourceError(RuntimeError):
     The message always names the offending quantity (e.g. the number of
     undecided edge slots) so the caller can decide whether raising the
     budget is sensible.
-    """
-
-
-class SeparationError(RuntimeError):
-    """Raised when an equality verdict at minimal order is contradicted
-    at the next order.
-
-    This never happens for single-label algebras; for larger label sets it
-    would indicate that comparing uniform representatives at the minimal
-    common order is not a separating test, so the discrepancy is surfaced
-    instead of silently picking one verdict.
     """

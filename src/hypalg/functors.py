@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, nind
+from .algebra import LinComb, _add, nind
 from .errors import InputError, ResourceError
 from .graphs import Graph, Injection, canonical
 
@@ -440,10 +440,7 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
             h = Graph(tau.r, w, labs, edges)
             if postcheck and any(rule_label(h, v) != g.labels[v] for v in postcheck):
                 continue
-            key = canonical(h)[0]
-            out[key] = out.get(key, Fraction(0)) + coeff
-            if out[key] == 0:
-                del out[key]
+            _add(out, canonical(h)[0], coeff)
 
     def dfs(idx: int) -> None:
         if idx == len(dfs_order):

@@ -278,6 +278,20 @@ def verify_gensubdivision(
     sub = subdivide(scheme, g)
     op = scheme.operator(budget=budget, attach=False)
 
+    # multiplicativity probe, first as the smallest enumeration: a single
+    # edge times a point when that fits a small probe budget, otherwise two
+    # points under the full budget, which refuses oversized gadgets early
+    probe_op = scheme.operator(budget=min(budget, 1 << 14), attach=False)
+    probe_f = LinComb.from_graph(complete_graph(scheme.base_r, scheme.base_r))
+    probe_g = point(scheme.base_r, 0)
+    probe_desc = "single edge, single vertex"
+    try:
+        ok_mult = check_multiplicative(probe_op, probe_f, probe_g)
+    except ResourceError:
+        probe_f = probe_g
+        probe_desc = "two single vertices"
+        ok_mult = check_multiplicative(op, probe_f, probe_g)
+
     swap_g, note = g, ""
     try:
         lhs = operator_apply(op, nind(swap_g), method="enumerate")
@@ -294,19 +308,6 @@ def verify_gensubdivision(
         lhs,
         nind(LinComb.from_graph(subdivide(scheme, swap_g))),
     )
-
-    # multiplicativity probe: a single edge times a point when that fits a
-    # small probe budget, otherwise two points under the full budget
-    probe_op = scheme.operator(budget=min(budget, 1 << 14), attach=False)
-    probe_f = LinComb.from_graph(complete_graph(scheme.base_r, scheme.base_r))
-    probe_g = point(scheme.base_r, 0)
-    probe_desc = "single edge, single vertex"
-    try:
-        ok_mult = check_multiplicative(probe_op, probe_f, probe_g)
-    except ResourceError:
-        probe_f = probe_g
-        probe_desc = "two single vertices"
-        ok_mult = check_multiplicative(op, probe_f, probe_g)
     report.add(
         f"scheme operator is multiplicative on the probe pair ({probe_desc})",
         EXACT,
@@ -513,16 +514,11 @@ def verify_hypergraph(
 # positivity and the dump-label lift
 
 
-def _eval_all_label_mass(f: LinComb, p: Fraction, ell: int) -> Fraction:
-    """Evaluation against hosts carrying only the label ell: a term counts
-    with its quasirandom edge weight iff every vertex wears ell."""
-    p = _as_fraction(p, "sample points")
-    total = Fraction(0)
-    for g, c in f.coeffs.items():
-        if all(lab == ell for lab in g.labels):
-            slots = math.comb(g.n, g.r)
-            total += c * p ** len(g.edges) * (1 - p) ** (slots - len(g.edges))
-    return total
+def _on_label(f: LinComb, ell: int) -> LinComb:
+    """The terms of f all of whose vertices carry ell, over the label set
+    {ell}: evaluating it evaluates f on hosts carrying only ell."""
+    terms = {g: c for g, c in f.coeffs.items() if set(g.labels) <= {ell}}
+    return LinComb._raw(f.r, frozenset({ell}), terms)
 
 
 def verify_goodman_lift(p_samples=None) -> TheoremReport:
@@ -603,8 +599,8 @@ def verify_goodman_lift(p_samples=None) -> TheoremReport:
     )
 
     naive = extend_label_set(f_base, frozenset({0, dump}))
-    naive_vals = [_eval_all_label_mass(naive, p, dump) for p in samples]
-    lifted_vals = [_eval_all_label_mass(lifted, p, dump) for p in samples]
+    naive_vals = [eval_quasirandom(_on_label(naive, dump), p) for p in samples]
+    lifted_vals = [eval_quasirandom(_on_label(lifted, dump), p) for p in samples]
     report.add(
         "hosts concentrated on the new label: the naive embedding goes "
         "negative, the uniform one does not",

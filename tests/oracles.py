@@ -9,8 +9,15 @@ producing; and `brute_well_defined`, which applies the rules through the
 package's `tau_apply` and pulls graphs back through `induced_subgraph`
 and `apply_functor_injection`, so that it checks the rules as they are
 actually evaluated.
+
+`brute_product`, `brute_nind` and `brute_lift` take the package's
+`LinComb` as input only for its terms and label set; they enumerate every
+labelled graph on [n] allowed by the definition and key classes by
+`brute_class`, the memoised `brute_canonical` representative.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product as iter_product
 from types import SimpleNamespace
 
@@ -114,6 +121,79 @@ def reference_canonical(g: Graph):
     for newpos, old in enumerate(best_perm):
         inv[old] = newpos
     return g.relabel_vertices(tuple(inv)), count
+
+
+@lru_cache(maxsize=None)
+def brute_class(g: Graph) -> Graph:
+    """The `brute_canonical` representative of g's class."""
+    return brute_canonical(g)[0]
+
+
+def _restrict(h: Graph, verts) -> Graph:
+    """The labelled graph h induces on verts, renumbered 0.. in order."""
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = tuple(
+        tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e)
+    )
+    return Graph(h.r, len(verts), tuple(h.labels[v] for v in verts), edges)
+
+
+def _labelled_graphs(r: int, n: int, labellings):
+    """Every r-uniform graph on [n] carrying one of these label tuples."""
+    slots = list(combinations(range(n), r))
+    for labels in labellings:
+        for bits in range(1 << len(slots)):
+            edges = tuple(slots[i] for i in range(len(slots)) if bits >> i & 1)
+            yield Graph(r, n, labels, edges)
+
+
+def _accumulate(pairs) -> dict:
+    out = {}
+    for g, c in pairs:
+        key = brute_class(g)
+        out[key] = out.get(key, Fraction(0)) + c
+    return {g: c for g, c in out.items() if c != 0}
+
+
+def brute_product(f, g) -> dict:
+    """Product by its definition: for each pair of terms F, G, every
+    labelled graph on [v(F) + v(G)] inducing F on the first v(F) vertices
+    and G on the rest (so its labels are those of F, then those of G)."""
+    pairs = []
+    for a, ca in f.coeffs.items():
+        for b, cb in g.coeffs.items():
+            n = a.n + b.n
+            for h in _labelled_graphs(f.r, n, [a.labels + b.labels]):
+                if (
+                    _restrict(h, range(a.n)) == a
+                    and _restrict(h, range(a.n, n)) == b
+                ):
+                    pairs.append((h, ca * cb))
+    return _accumulate(pairs)
+
+
+def brute_nind(f) -> dict:
+    """Supergraph sum by its definition: for each term F, every labelled
+    graph on [v(F)] with F's labels whose edge set contains F's."""
+    pairs = []
+    for a, c in f.coeffs.items():
+        for h in _labelled_graphs(f.r, a.n, [a.labels]):
+            if a.edge_set <= h.edge_set:
+                pairs.append((h, c))
+    return _accumulate(pairs)
+
+
+def brute_lift(f, n: int) -> dict:
+    """Lift by its definition: for each term F, every labelled graph on
+    [n] inducing F on its first v(F) vertices, the others carrying any
+    labels of the label set."""
+    pairs = []
+    for a, c in f.coeffs.items():
+        extra = iter_product(sorted(f.label_set), repeat=n - a.n)
+        for h in _labelled_graphs(f.r, n, (a.labels + x for x in extra)):
+            if _restrict(h, range(a.n)) == a:
+                pairs.append((h, c))
+    return _accumulate(pairs)
 
 
 def brute_inj_count(g: Graph, h: Graph) -> int:

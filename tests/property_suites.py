@@ -191,6 +191,37 @@ def run_operator_kernel_compat(count=50, seed=90404):
     return {"ok": True, "checked": count, "witness": ""}
 
 
+def run_alg_equal_one_order(count=300, seed=90505):
+    """With 2 and 3 labels, `alg_equal`'s verdict at the largest term order
+    agrees with comparing the lifts one order higher, and pairs equal in
+    the quotient by construction are reported equal."""
+    rng = random.Random(seed)
+    for i in range(count):
+        label_set = frozenset(range(2 + i % 2))
+        f = _random_lincomb(rng, 2, label_set)
+        kind = i % 3
+        if kind == 0:
+            g = _random_lincomb(rng, 2, label_set)
+        elif kind == 1:  # multiplying by the point sum is the identity
+            g = H.product(f, H.point_sum(2, label_set))
+        else:  # one order up, one coefficient moved
+            g = H.lift(f, H.order(f) + 1).lincomb
+            terms = sorted(g.coeffs, key=H.graph_to_text)
+            key = rng.choice(terms or [H.Graph(2, H.order(f) + 1)])
+            g = g + rng.choice(_COEFF_POOL) * H.LinComb.from_graph(key, label_set)
+        n = max(H.order(f), H.order(g))
+        verdict = H.alg_equal(f, g)
+        above = H.lift(f, n + 1).lincomb == H.lift(g, n + 1).lincomb
+        if verdict != above or (kind == 1 and not verdict):
+            return {
+                "ok": False,
+                "checked": i,
+                "witness": f"{H.lincomb_to_text(f)} vs {H.lincomb_to_text(g)}: "
+                f"order {n} says {verdict}, order {n + 1} says {above}",
+            }
+    return {"ok": True, "checked": count, "witness": ""}
+
+
 def run_all():
     return {
         "canonical-invariance": run_canonical_invariance(),

@@ -28,6 +28,8 @@ from hypalg import (
     product,
     unit,
 )
+from oracles import brute_class, brute_lift, brute_nind, brute_product
+from property_suites import run_alg_equal_one_order
 
 K2 = complete_graph(2, 2)
 P2 = path_graph(2)
@@ -143,6 +145,46 @@ def test_lift_multi_label():
     assert order(rep.lincomb) == 2
 
 
+def _by_brute_class(f: LinComb) -> dict:
+    """f's coefficients keyed by brute-force class representatives; the
+    package keeps one key per class, so no two keys may collide."""
+    out = {brute_class(g): c for g, c in f.coeffs.items()}
+    assert len(out) == len(f.coeffs)
+    return out
+
+
+@pytest.mark.parametrize(
+    "r, label_set, max_class, max_n",
+    [
+        (2, {0}, 3, 5),
+        (2, {0, 1}, 3, 4),
+        (3, {0}, 4, 4),
+        (3, {0, 1}, 3, 4),
+        (1, {0, 1}, 2, 3),  # a single vertex may carry an edge
+    ],
+)
+def test_product_nind_lift_match_brute_force(r, label_set, max_class, max_n):
+    # every class of order <= max_class, as the order-k lifts of the unit
+    classes = [
+        LinComb.from_graph(g, label_set)
+        for k in range(max_class + 1)
+        for g in brute_lift(unit(r, label_set), k)
+    ]
+    mixed = (
+        2 * classes[-1]
+        - Fraction(1, 2) * classes[1]
+        + unit(r, label_set)
+        - point_sum(r, label_set)  # cancels against the unit once lifted
+    )
+    for f in classes + [mixed]:
+        assert _by_brute_class(nind(f)) == brute_nind(f)
+        for n in range(order(f), max_n + 1):
+            assert _by_brute_class(lift(f, n).lincomb) == brute_lift(f, n)
+        for g in classes:
+            if order(f) + order(g) <= max_n:
+                assert _by_brute_class(product(f, g)) == brute_product(f, g)
+
+
 def test_alg_equal_ideal_relation():
     f = LinComb.from_graph(K2)
     assert alg_equal(f, product(f, point(2, 0)))
@@ -158,6 +200,12 @@ def test_alg_equal_zero_and_coercion():
     assert alg_equal(K2, LinComb.from_graph(K2))  # Graph coerced
     with pytest.raises(InputError):
         alg_equal(LinComb.from_graph(K2), unit(3))
+
+
+def test_alg_equal_decides_at_one_order():
+    result = run_alg_equal_one_order()
+    assert result["ok"], result["witness"]
+    assert result["checked"] == 300
 
 
 def test_goodman_uniform_representative():

@@ -10,6 +10,7 @@ from hypalg import (
     Graph,
     InputError,
     LinComb,
+    ResourceError,
     TheoremReport,
     complete_graph,
     cycle_graph,
@@ -30,7 +31,7 @@ from hypalg import (
     verify_m5,
     verify_tensor_power,
 )
-from hypalg.harness import _eval_all_label_mass
+from hypalg.harness import _on_label
 
 K2 = complete_graph(2, 2)
 
@@ -101,7 +102,7 @@ def test_eval_nind_quasirandom_rejects_inexact_p(p):
     [
         lambda p: verify_goodman_lift(p_samples=(Fraction(1, 2), p)),
         CITED_FIVE_CYCLE_POLY,
-        lambda p: _eval_all_label_mass(LinComb.from_graph(K2), p, 0),
+        lambda p: eval_quasirandom(_on_label(LinComb.from_graph(K2), 0), p),
     ],
     ids=["sample-list", "bound-polynomial", "all-label-mass"],
 )
@@ -199,6 +200,19 @@ def test_verify_gensubdivision_budget_fallbacks():
     tier2 = verify_gensubdivision(loose_scheme(3), K2, budget=4)
     assert tier2.verdict
     assert "two single vertices" in tier2.steps[1].description
+
+
+def test_verify_gensubdivision_refuses_before_swap_enumeration(monkeypatch):
+    # blowup:4 has 28 slots on a pair of points; the probe's budget check
+    # refuses it before the swap step enumerates any preimage
+    from hypalg import blowup_scheme
+
+    def swap_enumeration(*args, **kwargs):
+        raise AssertionError("swap step ran before the probe refused")
+
+    monkeypatch.setattr("hypalg.harness.operator_apply", swap_enumeration)
+    with pytest.raises(ResourceError, match="leaves 28 undecided edge slots"):
+        verify_gensubdivision(blowup_scheme(4), K2)
 
 
 def test_verify_gensubdivision_preconditions():
