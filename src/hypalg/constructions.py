@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
 
 from .algebra import LinComb, UniformRep, extend_label_set, nind, order
 from .errors import InputError
@@ -32,7 +31,14 @@ from .functors import (
     UnionF,
     UpwardTransformation,
 )
-from .graphs import Graph, Injection, _extend_isomorphism, graph_from_text, graph_to_text, induced_subgraph
+from .graphs import (
+    Graph,
+    Injection,
+    _maps,
+    graph_from_text,
+    graph_to_text,
+    induced_subgraph,
+)
 
 __all__ = [
     "LabeledLift",
@@ -69,6 +75,16 @@ def check_symmetry(f: Graph, sets) -> bool:
 
     The sets must be disjoint, of equal size, and internally edgeless —
     violations are input errors, not a False verdict.
+
+    The permutations sigma that some automorphism realizes form a group:
+    composing two automorphisms realizes the composed permutation, and
+    inverting one realizes the inverse. That group is all of Sym(k) iff it
+    holds the transposition (0 1) and the cycle (0 1 ... k-1), so only these
+    two are tested. Each test marks the i-th vertex of set j with the label
+    1 + j*size + i and every other vertex with 1 + k*size, keeping f's own
+    labels alongside, and asks for a label-preserving isomorphism onto the
+    copy whose marks are moved by sigma: it must send set j onto set
+    sigma(j) element-wise.
     """
     sets = tuple(tuple(int(v) for v in s) for s in sets)
     if not sets:
@@ -88,16 +104,24 @@ def check_symmetry(f: Graph, sets) -> bool:
         for e in f.edges:
             if all(v in s for v in e):
                 raise InputError(f"vertex set {s} is not internally edgeless")
-    for sigma in permutations(range(len(sets))):
-        if sigma == tuple(range(len(sets))):
-            continue
-        seed = {}
-        for j, s in enumerate(sets):
-            for i, v in enumerate(s):
-                seed[v] = sets[sigma[j]][i]
-        if not _extend_isomorphism(f, f, seed):
-            return False
-    return True
+    k = len(sets)
+    if k == 1:
+        return True
+    span = k * size + 2  # marks are 1 .. k*size + 1
+
+    def marked(sigma: tuple[int, ...]) -> Graph:
+        marks = [1 + k * size] * f.n
+        for j in range(k):
+            for i, v in enumerate(sets[sigma[j]]):
+                marks[v] = 1 + j * size + i
+        labels = tuple(lab * span + m for lab, m in zip(f.labels, marks))
+        return Graph(f.r, f.n, labels, f.edges)
+
+    source = marked(tuple(range(k)))
+    generators = {(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)}
+    return all(
+        next(_maps(source, marked(sigma)), None) is not None for sigma in generators
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Exact density functionals: injective induced densities, weak
 homomorphism densities, and the blow-up limit connecting them.
 
-All values are exact Fractions obtained by exhaustive map enumeration with
-early pruning; hosts are desk-scale (a dozen vertices, blow-ups a couple
-dozen). Every functional extends linearly to LinComb arguments with
-coefficient weights.
+All values are exact Fractions that count vertex maps with one pruned
+search, `graphs._maps`, run afresh for each term: nothing is cached. The
+three functionals differ only in the maps they count: injective and
+induced, any map sending edges onto edges, or any map sending edges onto
+edges and every other r-set off them. Hosts are desk-scale (a dozen
+vertices, blow-ups a couple dozen). Every functional extends linearly to
+LinComb arguments with coefficient weights.
 
 For uniformity above 2 a map counts as a homomorphism when it is injective
 on every edge and sends every edge onto an edge of the host. With that
@@ -18,12 +21,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product as iter_product
 
 from .algebra import LinComb, _coerce
 from .constructions import blowup
 from .errors import InputError, ResourceError
-from .graphs import Graph
+from .graphs import Graph, _maps
 
 __all__ = [
     "blowup_density_curve",
@@ -38,42 +40,6 @@ def _check_host(f: LinComb, h: Graph) -> None:
         raise InputError(f"uniformity mismatch: {f.r} vs host {h.r}")
 
 
-def _inj_count(g: Graph, h: Graph) -> int:
-    """Number of injections inducing exactly g in h."""
-    if g.n > h.n:
-        return 0
-    r = g.r
-    img: list[int] = []
-    used = [False] * h.n
-    count = 0
-
-    def place(i: int) -> None:
-        nonlocal count
-        if i == g.n:
-            count += 1
-            return
-        for v in range(h.n):
-            if used[v] or h.labels[v] != g.labels[i]:
-                continue
-            ok = True
-            for rest in combinations(range(i), r - 1):
-                s = rest + (i,)
-                mapped = tuple(sorted([img[j] for j in rest] + [v]))
-                if (mapped in h.edge_set) != (s in g.edge_set):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[v] = True
-            img.append(v)
-            place(i + 1)
-            img.pop()
-            used[v] = False
-
-    place(0)
-    return count
-
-
 def inj_density(f, h: Graph) -> Fraction:
     """Fraction of injections into h inducing exactly the argument.
 
@@ -86,85 +52,28 @@ def inj_density(f, h: Graph) -> Fraction:
     for g, c in f.coeffs.items():
         if g.n > h.n:
             continue
-        total += c * Fraction(_inj_count(g, h), math.perm(h.n, g.n))
+        count = sum(1 for _ in _maps(g, h))
+        total += c * Fraction(count, math.perm(h.n, g.n))
     return total
 
 
-def _hom_count(g: Graph, h: Graph) -> int:
-    """Number of maps sending every edge injectively onto a host edge,
-    preserving labels."""
-    by_max: dict[int, list[tuple[int, ...]]] = {}
-    for e in g.edges:
-        by_max.setdefault(e[-1], []).append(e)
-    candidates = [
-        [v for v in range(h.n) if h.labels[v] == g.labels[i]]
-        for i in range(g.n)
-    ]
-    img: list[int] = []
-    count = 0
-
-    def place(i: int) -> None:
-        nonlocal count
-        if i == g.n:
-            count += 1
-            return
-        for v in candidates[i]:
-            ok = True
-            for e in by_max.get(i, ()):
-                mapped = [img[j] for j in e[:-1]] + [v]
-                if len(set(mapped)) != g.r or tuple(sorted(mapped)) not in h.edge_set:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img.append(v)
-            place(i + 1)
-            img.pop()
-
-    place(0)
-    return count
-
-
-def hom_density(f, h: Graph) -> Fraction:
-    """Probability that a uniformly random vertex map is a homomorphism."""
+def _map_density(f, h: Graph, induced: bool) -> Fraction:
+    """Fraction of all vertex maps into h that `_maps` yields, extended
+    linearly. On a host without vertices only the empty graph has a map."""
     f = _coerce(f)
     _check_host(f, h)
     total = Fraction(0)
     for g, c in f.coeffs.items():
-        if h.n == 0:
-            if g.n == 0:
-                total += c
-                continue
+        if h.n == 0 < g.n:
             raise InputError("host graph has no vertices")
-        total += c * Fraction(_hom_count(g, h), h.n**g.n)
+        count = sum(1 for _ in _maps(g, h, induced, injective=False))
+        total += c * Fraction(count, h.n**g.n)
     return total
 
 
-_LIMIT_CACHE: dict[tuple[int, Graph], dict] = {}
-
-
-def _limit_patterns(nf: int, h: Graph) -> dict:
-    """Distribution over maps [nf] -> V_h of (pulled-back labels, set of
-    r-subsets that are injective-onto-an-edge). This is the induced-class
-    distribution in the infinite blow-up of h."""
-    key = (nf, h)
-    hit = _LIMIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    r = h.r
-    subs = list(combinations(range(nf), r))
-    counts: dict[tuple, int] = {}
-    for phi in iter_product(range(h.n), repeat=nf):
-        labels = tuple(h.labels[v] for v in phi)
-        edges = []
-        for s in subs:
-            mapped = [phi[i] for i in s]
-            if len(set(mapped)) == r and tuple(sorted(mapped)) in h.edge_set:
-                edges.append(s)
-        k = (labels, frozenset(edges))
-        counts[k] = counts.get(k, 0) + 1
-    _LIMIT_CACHE[key] = counts
-    return counts
+def hom_density(f, h: Graph) -> Fraction:
+    """Probability that a uniformly random vertex map is a homomorphism."""
+    return _map_density(f, h, induced=False)
 
 
 def limit_inj_blowup(f, h: Graph) -> Fraction:
@@ -174,16 +83,7 @@ def limit_inj_blowup(f, h: Graph) -> Fraction:
     edge set exactly: each r-subset is an edge iff phi is injective on it
     and sends it onto an edge of h (labels pulled back along phi).
     """
-    f = _coerce(f)
-    _check_host(f, h)
-    if h.n == 0:
-        raise InputError("host graph has no vertices")
-    total = Fraction(0)
-    for g, c in f.coeffs.items():
-        counts = _limit_patterns(g.n, h)
-        hits = counts.get((g.labels, g.edge_set), 0)
-        total += c * Fraction(hits, h.n**g.n)
-    return total
+    return _map_density(f, h, induced=True)
 
 
 def blowup_density_curve(f, h: Graph, n_max: int, cap: int = 32) -> list[Fraction]:

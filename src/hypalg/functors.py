@@ -309,19 +309,21 @@ def tau_apply(tau: UpwardTransformation, h: Graph, n: int = None) -> Graph:
             for te in tau.edge_template.edges
         ):
             edges.append(e)
-    labels = []
-    for v in range(n):
-        pos = _eta_image(tau.eta, n, (v,))
-        lab = tau.default_label
-        for rule_lab, tmpl in tau.vertex_rules:
-            if all(
-                tuple(sorted(pos[x] for x in te)) in h.edge_set
-                for te in tmpl.edges
-            ):
-                lab = rule_lab
-                break
-        labels.append(lab)
-    return Graph(tau.base_r, n, tuple(labels), tuple(edges))
+    labels = tuple(_vertex_label(tau, n, h, v) for v in range(n))
+    return Graph(tau.base_r, n, labels, tuple(edges))
+
+
+def _vertex_label(tau: UpwardTransformation, n: int, h: Graph, v: int) -> int:
+    """The label tau gives vertex v of [n] on h: the first vertex rule whose
+    template h contains on eta({v}), else the default label."""
+    pos = _eta_image(tau.eta, n, (v,))
+    for rule_lab, tmpl in tau.vertex_rules:
+        if all(
+            tuple(sorted(pos[x] for x in te)) in h.edge_set
+            for te in tmpl.edges
+        ):
+            return rule_lab
+    return tau.default_label
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +426,13 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     on_count = [0] * len(cleaned)
     chosen: list[int] = []
 
-    def rule_label(h: Graph, v: int) -> int:
-        pos = _eta_image(tau.eta, n, (v,))
-        for rule_lab, tmpl in tau.vertex_rules:
-            if all(
-                tuple(sorted(pos[x] for x in te)) in h.edge_set
-                for te in tmpl.edges
-            ):
-                return rule_lab
-        return tau.default_label
-
     def emit() -> None:
         edges = tuple(all_slots[i] for i in sorted(forced) + chosen)
         for labs in iter_product(labelings, repeat=w):
             h = Graph(tau.r, w, labs, edges)
-            if postcheck and any(rule_label(h, v) != g.labels[v] for v in postcheck):
+            if postcheck and any(
+                _vertex_label(tau, n, h, v) != g.labels[v] for v in postcheck
+            ):
                 continue
             _add(out, canonical(h)[0], coeff)
 

@@ -16,6 +16,7 @@ labelled graph on [n] allowed by the definition and key classes by
 `brute_class`, the memoised `brute_canonical` representative.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iter_product
@@ -230,6 +231,45 @@ def brute_hom_count(g: Graph, h: Graph) -> int:
         if ok:
             count += 1
     return count
+
+
+def brute_limit_count(g: Graph, h: Graph) -> int:
+    """Maps [n_g] -> [n_h] realizing g exactly in the infinite blow-up of
+    h: labels pulled back along the map equal g's, and the r-subsets the
+    map sends injectively onto an edge of h are exactly g's edges. Every
+    map is tried and its pattern compared whole."""
+    subs = list(combinations(range(g.n), g.r))
+    count = 0
+    for image in iter_product(range(h.n), repeat=g.n):
+        labels = tuple(h.labels[v] for v in image)
+        edges = set()
+        for s in subs:
+            mapped = [image[i] for i in s]
+            if len(set(mapped)) == g.r and tuple(sorted(mapped)) in h.edge_set:
+                edges.add(s)
+        if labels == g.labels and edges == g.edge_set:
+            count += 1
+    return count
+
+
+def brute_check_symmetry(f: Graph, sets) -> bool:
+    """Whether every permutation sigma of the vertex sets is realized by an
+    automorphism of f sending the j-th set onto the sigma(j)-th element-wise,
+    by trying every vertex permutation of f."""
+    realized = set()
+    for perm in permutations(range(f.n)):
+        sigma = []
+        for s in sets:
+            target = [j for j, t in enumerate(sets) if t[0] == perm[s[0]]]
+            if not target or any(
+                perm[v] != sets[target[0]][i] for i, v in enumerate(s)
+            ):
+                break
+            sigma.append(target[0])
+        else:
+            if f.relabel_vertices(perm) == f:
+                realized.add(tuple(sigma))
+    return len(realized) == math.factorial(len(sets))
 
 
 def closed_walk_count(h: Graph, length: int) -> int:

@@ -1,5 +1,8 @@
 """Subdivision schemes, direct constructions, and label lifting."""
 
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from hypalg import (
@@ -38,6 +41,8 @@ from hypalg import (
     triangle_scheme,
 )
 
+from oracles import brute_check_symmetry
+
 K2 = complete_graph(2, 2)
 
 
@@ -73,6 +78,74 @@ def test_check_symmetry_input_errors():
         check_symmetry(f, ((9,),))
     with pytest.raises(InputError):
         check_symmetry(f, ((0, 1), (2, 3)))  # block {0,1} carries an edge
+
+
+def _random_gadget(rng):
+    """A gadget with 2 or 3 blocks of size 1 or 2 and at most 7 vertices.
+    Its edges are closed under a random group of block permutations (the
+    trivial one, a transposition, the rotations or all), so that all, some
+    or none of the permutations are realized; privates may carry label 1."""
+    r, k, size = rng.choice((2, 3)), rng.choice((2, 3)), rng.choice((1, 2))
+    n = rng.randint(k * size, 7)
+    sets = tuple(tuple(range(j * size, (j + 1) * size)) for j in range(k))
+    group = rng.choice((
+        [tuple(range(k))],
+        [tuple(range(k)), (1, 0) + tuple(range(2, k))],
+        [tuple((j + t) % k for j in range(k)) for t in range(k)],
+        list(permutations(range(k))),
+    ))
+
+    def move(sigma, v):
+        j, i = divmod(v, size)
+        return sets[sigma[j]][i] if j < k else v
+
+    edges = set()
+    for e in combinations(range(n), r):
+        if any(set(e) <= set(s) for s in sets) or rng.random() > 0.3:
+            continue
+        edges.update(tuple(sorted(move(sigma, v) for v in e)) for sigma in group)
+    labels = tuple(rng.choice((0, 0, 1)) if v >= k * size else 0 for v in range(n))
+    return Graph(r, n, labels, tuple(edges)), sets
+
+
+def test_check_symmetry_matches_brute_force():
+    rng = random.Random("check-symmetry")
+    verdicts = []
+    for _ in range(200):
+        f, sets = _random_gadget(rng)
+        verdict = check_symmetry(f, sets)
+        assert verdict == brute_check_symmetry(f, sets), (f, sets)
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < 180
+
+
+def test_check_symmetry_tests_both_generators():
+    # only the transposition of blocks 0 and 1 is realized
+    swap_only = Graph(2, 4, None, ((0, 3), (1, 3)))
+    # only the rotations: b_j is joined to a_{j+1}, so reflecting reverses it
+    cycle_only = Graph(2, 6, None, ((0, 5), (1, 2), (3, 4)))
+    for f, sets in (
+        (swap_only, ((0,), (1,), (2,))),
+        (cycle_only, ((0, 1), (2, 3), (4, 5))),
+    ):
+        assert not check_symmetry(f, sets)
+        assert not brute_check_symmetry(f, sets)
+
+
+def test_three_block_scheme_from_text_checks_symmetry():
+    # block j is (a_j, b_j) = (j, j + 3); every b_j is joined to every other a
+    text = (
+        "graph{r=2;n=2;l=;e=}\n"
+        "graph{r=2;n=6;l=;e=(0 4)(0 5)(1 3)(1 5)(2 3)(2 4)}\n"
+        "sets=(0 3)(1 4)(2 5)\n"
+    )
+    scheme = scheme_from_text(text)
+    assert scheme.base_r == 3
+    assert brute_check_symmetry(scheme.f_e, scheme.blocks)
+    # b_j joined to a_{j+1} only: the rotations alone are realized
+    chiral = text.replace("(0 4)(0 5)(1 3)(1 5)(2 3)(2 4)", "(0 5)(1 3)(2 4)")
+    with pytest.raises(InputError, match="not symmetric"):
+        scheme_from_text(chiral)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Density functionals against brute-force map counting."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -21,7 +23,14 @@ from hypalg import (
     path_graph,
 )
 
-from oracles import brute_hom_count, brute_inj_count, closed_walk_count
+from oracles import (
+    _labelled_graphs,
+    brute_class,
+    brute_hom_count,
+    brute_inj_count,
+    brute_limit_count,
+    closed_walk_count,
+)
 
 K2 = complete_graph(2, 2)
 K3 = complete_graph(2, 3)
@@ -96,6 +105,11 @@ def test_empty_host_behaviour():
         hom_density(K2, Graph(2, 0))
     with pytest.raises(InputError):
         limit_inj_blowup(LinComb.from_graph(K2), Graph(2, 0))
+    # limit(nind(G), H) = hom(G, H) holds at G = H = the empty graph too
+    assert limit_inj_blowup(nind(unit), Graph(2, 0)) == 1
+    assert limit_inj_blowup(3 * unit, Graph(2, 0)) == 3
+    with pytest.raises(InputError):
+        limit_inj_blowup(unit + LinComb.from_graph(K2), Graph(2, 0))
 
 
 def test_limit_frozen_and_labeled():
@@ -118,6 +132,38 @@ def test_limit_frozen_and_labeled():
 def test_blowup_limit_of_supergraph_sum_is_hom_density(g, h):
     lifted = nind(LinComb.from_graph(g))
     assert limit_inj_blowup(lifted, h) == hom_density(g, h)
+
+
+def _labelled_classes(r, n_max, labels):
+    """One graph per class of r-uniform graphs on at most n_max vertices
+    with vertex labels drawn from `labels`."""
+    return {
+        brute_class(g)
+        for n in range(n_max + 1)
+        for g in _labelled_graphs(r, n, product(labels, repeat=n))
+    }
+
+
+@pytest.mark.parametrize("r, n_max", [(2, 3), (3, 4)])
+def test_densities_match_brute_force_per_class(r, n_max):
+    """Each class on its own, so errors in different classes cannot cancel
+    as they could in a supergraph sum."""
+    rng = random.Random(f"densities-per-class:{r}")
+    for n in range(7):
+        labels = tuple(rng.choice((0, 1)) for _ in range(n))
+        edges = tuple(e for e in combinations(range(n), r) if rng.random() < 0.5)
+        h = Graph(r, n, labels, edges)
+        for g in _labelled_classes(r, n_max, (0, 1)):
+            inj = 0 if g.n > n else Fraction(brute_inj_count(g, h), math.perm(n, g.n))
+            assert inj_density(g, h) == inj, (g, h)
+            if n == 0 < g.n:
+                for fn in (hom_density, limit_inj_blowup):
+                    with pytest.raises(InputError):
+                        fn(g, h)
+                continue
+            assert hom_density(g, h) == Fraction(brute_hom_count(g, h), n**g.n), (g, h)
+            limit = Fraction(brute_limit_count(g, h), n**g.n)
+            assert limit_inj_blowup(g, h) == limit, (g, h)
 
 
 def test_blowup_density_curve():
