@@ -22,10 +22,13 @@ itself (see `UpwardTransformation._check_well_defined`).
 
 An `Operator` wraps a transformation with an enumeration budget and maps a
 combination over the output algebra to one over the input algebra by summing,
-for each term G, all graphs H on eta(V_G) with tau(H) = G. When a subdivision
-scheme is attached, nind-shaped inputs route through the scheme's closed
-form; `method="enumerate"` forces the generic path, which serves as the
-independent cross-check.
+for each term G, all graphs H on eta(V_G) with tau(H) = G. The generic path
+enumerates the completions of G (edge sets and labellings of eta(V_G)) but
+canonicalises only those of one edge set per orbit of Aut(G), weighted by
+the orbit size; `Operator.budget` bounds the completions enumerated, not
+those canonicalised. When a subdivision scheme is attached, nind-shaped inputs
+route through the scheme's closed form; `method="enumerate"` forces the
+generic path, which serves as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import combinations, product as iter_product
 
 from .algebra import LinComb, _add, nind
 from .errors import InputError, ResourceError
-from .graphs import Graph, Injection, canonical
+from .graphs import Graph, Injection, _maps, canonical
 
 __all__ = [
     "ConstF",
@@ -357,6 +360,25 @@ def _detect_nind(f: LinComb) -> Graph | None:
 
 
 def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
+    """Add coeff times the class of every graph H on eta([n]) with
+    tau(H) = g to `out`, where n = v(g).
+
+    A completion is an edge set E, the slots g forces on plus undecided slots
+    chosen so that g's non-edges and labels hold, together with a labelling
+    of eta([n]). A depth-first search enumerates the edge sets. The budget
+    bounds 2^(undecided slots) times the labellings and is checked first.
+
+    Only one edge set per Aut(g)-orbit is canonicalised. tau is natural, so
+    each automorphism sigma of g, acting through eta(sigma), maps the forced
+    slots, the constraints and the vertex-label checks onto themselves, hence
+    valid edge sets onto valid edge sets. E is kept only when its slot mask
+    is the least in its orbit; the same pass counts Stab(E), the sigma fixing
+    E, and each labelling of E adds coeff * |Aut(g)| / |Stab(E)|, the orbit
+    size; both count sigma, not their actions, so this holds when distinct
+    sigma act alike. Labellings need no orbit test
+    of their own: a sigma with sigma(E) = E' maps the labellings of E one to
+    one onto those of E', each graph onto an isomorphic one.
+    """
     tau = op.tau
     n = g.n
     w = functor_size(tau.eta, n)
@@ -411,12 +433,32 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     dfs_order = grouped_ids + rest
 
     labelings = sorted(tau.labels)
+    k = len(dfs_order)
     n_labelings = len(labelings) ** w
-    if (1 << len(dfs_order)) * n_labelings > op.budget:
+    if (1 << k) * n_labelings > op.budget:
         raise ResourceError(
-            f"term of order {n} leaves {len(dfs_order)} undecided edge slots "
-            f"on eta([{n}]) (2^{len(dfs_order)} completions; budget {op.budget})"
+            f"term of order {n} leaves {k} undecided edge slots on "
+            f"eta([{n}]) (2^{k} edge sets * {len(labelings)}^{w} labellings "
+            f"= {(1 << k) * n_labelings} completions; budget {op.budget})"
         )
+
+    # Aut(g) acting through eta, identity included: for each sigma, the bit
+    # that each free slot moves to (free slots go to free slots); column[idx]
+    # holds the bits that the slot dfs_order[idx] moves to, one per sigma.
+    # With no free slot, the one edge set is its own orbit: skip the search.
+    actions = [()]
+    if dfs_order:
+        actions = [
+            tuple(
+                1 << slot_id[tuple(sorted(pos[v] for v in all_slots[i]))]
+                for i in dfs_order
+            )
+            for pos in (
+                apply_functor_injection(tau.eta, Injection(n, n, sigma)).image
+                for sigma in _maps(g, g)
+            )
+        ]
+    column = list(zip(*actions))
 
     group_size = [len(grp) for grp in cleaned]
     member = {i: [] for i in dfs_order}
@@ -426,7 +468,15 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     on_count = [0] * len(cleaned)
     chosen: list[int] = []
 
-    def emit() -> None:
+    def emit(mask: int, images: list[int]) -> None:
+        # keep the completion only if its mask is the least in its orbit,
+        # counting its stabiliser on the way
+        stab = 0
+        for image in images:
+            if image < mask:
+                return
+            stab += image == mask
+        weight = coeff * (len(actions) // stab)
         edges = tuple(all_slots[i] for i in sorted(forced) + chosen)
         for labs in iter_product(labelings, repeat=w):
             h = Graph(tau.r, w, labs, edges)
@@ -434,15 +484,16 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
                 _vertex_label(tau, n, h, v) != g.labels[v] for v in postcheck
             ):
                 continue
-            _add(out, canonical(h)[0], coeff)
+            _add(out, canonical(h)[0], weight)
 
-    def dfs(idx: int) -> None:
+    def dfs(idx: int, mask: int, images: list[int]) -> None:
+        # mask: the chosen slots as bits; images: its image under each sigma
         if idx == len(dfs_order):
-            emit()
+            emit(mask, images)
             return
         slot = dfs_order[idx]
         # slot off: every group it belongs to is satisfied for good
-        dfs(idx + 1)
+        dfs(idx + 1, mask, images)
         # slot on
         ok = True
         for gi in member[slot]:
@@ -451,12 +502,13 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
                 ok = False
         if ok:
             chosen.append(slot)
-            dfs(idx + 1)
+            moved = [a + b for a, b in zip(images, column[idx])]
+            dfs(idx + 1, mask | 1 << slot, moved)
             chosen.pop()
         for gi in member[slot]:
             on_count[gi] -= 1
 
-    dfs(0)
+    dfs(0, 0, [0] * len(actions))
 
 
 def operator_apply(op: Operator, f, method: str = "auto") -> LinComb:

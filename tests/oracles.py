@@ -3,12 +3,13 @@
 Everything here is deliberately naive: full enumeration over all maps or
 all permutations, no pruning, no shared code with the package internals
 beyond the Graph value type. Slow but obviously correct on small inputs.
-Two exceptions: `reference_canonical`, the package's earlier canonical
+Three exceptions: `reference_canonical`, the package's earlier canonical
 search, which pins the exact representatives the current one must keep
-producing; and `brute_well_defined`, which applies the rules through the
+producing; `brute_well_defined`, which applies the rules through the
 package's `tau_apply` and pulls graphs back through `induced_subgraph`
 and `apply_functor_injection`, so that it checks the rules as they are
-actually evaluated.
+actually evaluated; and `brute_operator_apply`, which likewise applies
+the rules through `tau_apply` and keys classes by `reference_canonical`.
 
 `brute_product`, `brute_nind` and `brute_lift` take the package's
 `LinComb` as input only for its terms and label set; they enumerate every
@@ -148,10 +149,10 @@ def _labelled_graphs(r: int, n: int, labellings):
             yield Graph(r, n, labels, edges)
 
 
-def _accumulate(pairs) -> dict:
+def _accumulate(pairs, key_of=brute_class) -> dict:
     out = {}
     for g, c in pairs:
-        key = brute_class(g)
+        key = key_of(g)
         out[key] = out.get(key, Fraction(0)) + c
     return {g: c for g, c in out.items() if c != 0}
 
@@ -195,6 +196,23 @@ def brute_lift(f, n: int) -> dict:
             if _restrict(h, range(a.n)) == a:
                 pairs.append((h, c))
     return _accumulate(pairs)
+
+
+def brute_operator_apply(op, f) -> dict:
+    """The preimage sum by its definition: for each term G of order n, every
+    labelled graph h on eta([n]), over the operator's input labels, with
+    tau_apply(h, n) == G. Keyed by the `reference_canonical` representative:
+    the n! relabelings of `brute_class` are too slow for the hundreds of
+    6-vertex preimages one term can have."""
+    tau = op.tau
+    pairs = []
+    for g, c in f.coeffs.items():
+        w = functor_size(tau.eta, g.n)
+        labellings = iter_product(sorted(tau.labels), repeat=w)
+        for h in _labelled_graphs(tau.r, w, labellings):
+            if tau_apply(tau, h, g.n) == g:
+                pairs.append((h, c))
+    return _accumulate(pairs, lambda h: reference_canonical(h)[0])
 
 
 def brute_inj_count(g: Graph, h: Graph) -> int:

@@ -26,9 +26,13 @@ from hypalg import (
     apply_functor_set,
     blowup_scheme,
     box_scheme,
+    canonical,
     check_multiplicative,
     complete_graph,
+    copies_scheme,
+    crossing_scheme,
     cycle_graph,
+    even_scheme,
     functor_from_text,
     functor_size,
     functor_to_text,
@@ -40,8 +44,10 @@ from hypalg import (
     point,
     subdivide,
     tau_apply,
+    triangle_scheme,
 )
-from oracles import brute_well_defined
+from hypalg import functors
+from oracles import brute_operator_apply, brute_well_defined, reference_canonical
 
 
 def test_apply_functor_set_orderings():
@@ -343,6 +349,24 @@ def test_operator_budget():
         Operator(scheme.transformation(), budget=0)
 
 
+def test_operator_budget_message_counts_labellings():
+    # one edge on three vertices leaves its two non-edges undecided; the
+    # three input vertices carry either of two labels: 2^2 * 2^3 = 32
+    tau = UpwardTransformation(
+        SubsetsF(1), 2, 2, complete_graph(2, 2), labels=frozenset({0, 1})
+    )
+    term = LinComb.from_graph(Graph(2, 3, None, ((0, 1),)))
+    with pytest.raises(ResourceError) as info:
+        operator_apply(Operator(tau, budget=8), term)
+    assert str(info.value) == (
+        "term of order 3 leaves 2 undecided edge slots on eta([3]) "
+        "(2^2 edge sets * 2^3 labellings = 32 completions; budget 8)"
+    )
+    # the only edge set is the term's own edge, under all 8 labellings
+    got = operator_apply(Operator(tau, budget=32), term)
+    assert sum(got.coeffs.values()) == 8
+
+
 def test_operator_validates_input():
     op = box_scheme().operator(attach=False)
     with pytest.raises(InputError):
@@ -380,6 +404,105 @@ def test_operator_point_preimage_counts_completions():
     assert got.coefficient(Graph(2, 2)) == 1
     assert got.coefficient(complete_graph(2, 2)) == 1
     assert len(got.coeffs) == 2
+
+
+def _two_rule_transformation(labels):
+    """Two copies of each base vertex; a base edge joins the 0-copies, and a
+    vertex is labelled 1 when its copies are adjacent, else 2 (the second
+    rule's empty template always holds). Two vertex rules send the operator
+    through its per-completion label check."""
+    return UpwardTransformation(
+        functor_from_text("x(sub(1),const(2))"),
+        2,
+        2,
+        Graph(2, 4, None, ((0, 2),)),
+        labels=labels,
+        base_labels=frozenset({1, 2}),
+        vertex_rules=((1, complete_graph(2, 2)), (2, Graph(2, 2))),
+        default_label=2,
+    )
+
+
+_K2 = complete_graph(2, 2)
+_K3 = complete_graph(2, 3)
+_P2 = path_graph(2)
+_I2 = Graph(2, 2)
+_I3 = Graph(2, 3)
+_PT = Graph(2, 1)
+
+# (operator, terms): the terms' automorphism groups have orders 1, 2 and 6,
+# and eta([n]) has at most 6 elements, or 4 with two input labels, which
+# multiply the graphs to enumerate by 2^|eta([n])|
+_BRUTE_CASES = {
+    "blowup:1": (blowup_scheme(1).operator(attach=False), [_K3, _I3, _P2, _PT]),
+    "blowup:2": (blowup_scheme(2).operator(attach=False), [_K3, _K2, _PT]),
+    "copies:2": (copies_scheme(2).operator(attach=False), [_K2, _I2]),
+    "copies:3": (copies_scheme(3).operator(attach=False), [_PT]),
+    "path:2": (path_scheme(2).operator(attach=False), [_K2, _I2]),
+    "triangle": (triangle_scheme().operator(attach=False), [_K2, _I2]),
+    "box": (box_scheme().operator(attach=False), [_K2, _I2, _PT]),
+    "crossing": (crossing_scheme().operator(attach=False), [_K2]),
+    "loose:3": (loose_scheme(3).operator(attach=False), [_K2, _I2]),
+    "even:4": (even_scheme(4).operator(attach=False), [_K2, _I2]),
+    "box/dump": (
+        box_scheme().operator(labeled=True, attach=False),
+        [
+            Graph(2, 3, (1, 1, 1), _K3.edges),
+            Graph(2, 2, (0, 1), ((0, 1),)),
+            Graph(2, 2, (1, 1), ((0, 1),)),
+            Graph(2, 2, (0, 0)),
+        ],
+    ),
+    "crossing/dump": (
+        crossing_scheme().operator(labeled=True, attach=False),
+        [Graph(2, 2, (0, 1), ((0, 1),)), Graph(2, 2, (1, 1))],
+    ),
+    "two rules": (
+        Operator(_two_rule_transformation(frozenset({0, 1}))),
+        [Graph(2, 2, (1, 2), ((0, 1),)), Graph(2, 2, (2, 2)), Graph(2, 1, (1,))],
+    ),
+    "two rules, one input label": (
+        Operator(_two_rule_transformation(frozenset({0}))),
+        [Graph(2, 3, (1, 1, 1), _K3.edges)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRUTE_CASES))
+def test_operator_matches_brute_force(case):
+    op, terms = _BRUTE_CASES[case]
+    for term in terms:
+        f = LinComb.from_graph(term, op.tau.base_labels)
+        got = operator_apply(op, f, method="enumerate")
+        by_class = {reference_canonical(h)[0]: c for h, c in got.coeffs.items()}
+        assert len(by_class) == len(got.coeffs)
+        assert by_class == brute_operator_apply(op, f), (case, term)
+
+
+@pytest.mark.parametrize(
+    "scheme, term, bound",
+    [
+        (copies_scheme(3), complete_graph(2, 2), 2080),
+        (copies_scheme(2), path_graph(2), 920),
+        (triangle_scheme(), path_graph(2), 268),
+        (path_scheme(2), path_graph(2), 920),
+    ],
+)
+def test_operator_canonicalises_one_completion_per_orbit(
+    monkeypatch, scheme, term, bound
+):
+    # one canonical form per Aut(term)-orbit of completions; enumerating
+    # every completion took 4096, 2048, 512 and 2048 calls
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical(h)
+
+    monkeypatch.setattr(functors, "canonical", counting)
+    op = scheme.operator(attach=False)
+    operator_apply(op, nind(term), method="enumerate")
+    assert len(calls) <= bound
 
 
 def test_multiplicativity_and_const_counterexample():
