@@ -253,10 +253,12 @@ def order(f) -> int:
 
 def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free) -> None:
     """Add c to the class of every graph on [n] with these labels whose
-    edges are `base` plus a subset of `free`, subsets in binary order."""
+    edges are `base` plus a subset of `free`, subsets in binary order.
+    `base` (a tuple) and `free` hold disjoint increasing r-sets of [n]."""
     for bits in range(1 << len(free)):
-        extra = [free[i] for i in range(len(free)) if bits >> i & 1]
-        _add(out, canonical(Graph(r, n, labels, base + tuple(extra)))[0], c)
+        extra = tuple(free[i] for i in range(len(free)) if bits >> i & 1)
+        g = Graph._trusted(r, n, labels, tuple(sorted(base + extra)))
+        _add(out, canonical(g)[0], c)
 
 
 def _product(r: int, f: dict, g: dict) -> dict:

@@ -245,9 +245,8 @@ class SubdivisionScheme:
                 "closed form requires a base graph without isolated vertices "
                 "when the vertex gadget has edges"
             )
-        base = Graph(g0.r, g0.n, None, g0.edges)
         return nind(
-            LinComb.from_graph(subdivide(self, base), frozenset(labels))
+            LinComb.from_graph(subdivide(self, g0), frozenset(labels))
         )
 
 

@@ -363,21 +363,23 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     """Add coeff times the class of every graph H on eta([n]) with
     tau(H) = g to `out`, where n = v(g).
 
-    A completion is an edge set E, the slots g forces on plus undecided slots
-    chosen so that g's non-edges and labels hold, together with a labelling
-    of eta([n]). A depth-first search enumerates the edge sets. The budget
-    bounds 2^(undecided slots) times the labellings and is checked first.
+    A completion is an edge set E with a labelling of eta([n]). E holds the
+    slots g forces on and undecided slots chosen so that each of g's non-edges
+    and labels keeps a slot of its group off; a group's only unforced slot is
+    decided off. A depth-first search enumerates the edge sets. The budget,
+    checked first, bounds 2^(undecided slots) times the labellings.
 
     Only one edge set per Aut(g)-orbit is canonicalised. tau is natural, so
     each automorphism sigma of g, acting through eta(sigma), maps the forced
-    slots, the constraints and the vertex-label checks onto themselves, hence
-    valid edge sets onto valid edge sets. E is kept only when its slot mask
-    is the least in its orbit; the same pass counts Stab(E), the sigma fixing
-    E, and each labelling of E adds coeff * |Aut(g)| / |Stab(E)|, the orbit
-    size; both count sigma, not their actions, so this holds when distinct
-    sigma act alike. Labellings need no orbit test
-    of their own: a sigma with sigma(E) = E' maps the labellings of E one to
-    one onto those of E', each graph onto an isomorphic one.
+    slots, the groups and the vertex-label checks onto themselves, hence the
+    decided and the undecided slots each onto themselves and valid edge sets
+    onto valid edge sets. E is kept only when its slot mask is the least in
+    its orbit; the same pass counts Stab(E), the sigma fixing E, and each
+    labelling of E adds coeff * |Aut(g)| / |Stab(E)|, the orbit size; both
+    count sigma, not their actions, so this holds when distinct sigma act
+    alike. Labellings need no orbit test of their own: a sigma with
+    sigma(E) = E' maps the labellings of E one to one onto those of E', each
+    graph onto an isomorphic one.
     """
     tau = op.tau
     n = g.n
@@ -419,20 +421,19 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
         else:
             postcheck.append(v)
 
-    cleaned: list[list[int]] = []
-    for grp in groups:
-        grp = grp - forced
-        if not grp:
-            return  # all its slots are forced on; no completion can satisfy it
-        cleaned.append(sorted(grp))
+    groups = [grp - forced for grp in groups]
+    if not all(groups):
+        return  # a group's slots are all forced on; no completion satisfies it
+    # a group's only unforced slot stays off, satisfying every group holding it
+    off = {i for grp in groups if len(grp) == 1 for i in grp}
+    cleaned = [grp for grp in groups if not grp & off]
 
-    free = [i for i in range(len(all_slots)) if i not in forced]
+    free = [i for i in range(len(all_slots)) if i not in forced and i not in off]
     # slots under a not-all-on constraint first, so pruning bites early
-    grouped_ids = sorted({i for grp in cleaned for i in grp})
-    rest = [i for i in free if i not in set(grouped_ids)]
-    dfs_order = grouped_ids + rest
+    grouped = {i for grp in cleaned for i in grp}
+    dfs_order = sorted(free, key=lambda i: i not in grouped)
 
-    labelings = sorted(tau.labels)
+    labelings = sorted(int(x) for x in tau.labels)
     k = len(dfs_order)
     n_labelings = len(labelings) ** w
     if (1 << k) * n_labelings > op.budget:
@@ -477,9 +478,9 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
                 return
             stab += image == mask
         weight = coeff * (len(actions) // stab)
-        edges = tuple(all_slots[i] for i in sorted(forced) + chosen)
+        edges = tuple(all_slots[i] for i in sorted([*forced, *chosen]))
         for labs in iter_product(labelings, repeat=w):
-            h = Graph(tau.r, w, labs, edges)
+            h = Graph._trusted(tau.r, w, labs, edges)
             if postcheck and any(
                 _vertex_label(tau, n, h, v) != g.labels[v] for v in postcheck
             ):

@@ -28,6 +28,7 @@ so round-trips are bit-exact.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,13 +55,22 @@ __all__ = [
 ]
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"{what} must be ints, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """An r-uniform hypergraph with integer-labeled vertices 0..n-1.
 
-    `labels` may be passed as None for all-zero. Edges are normalized on
-    construction: sorted within each edge, deduplicated, and sorted
-    lexicographically, so structurally equal graphs are equal values.
+    `labels` may be passed as None for all-zero. The constructor takes only
+    ints for `r`, `n`, labels and vertices, and brings the edges to normal
+    form: sorted within each edge, deduplicated, and sorted lexicographically,
+    so structurally equal graphs are equal values. `Graph._trusted` builds a
+    value already in that form without checks. The hash is cached.
     """
 
     r: int
@@ -69,39 +79,46 @@ class Graph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise InputError(f"uniformity must be >= 1, got {self.r}")
-        if self.n < 0:
-            raise InputError(f"vertex count must be >= 0, got {self.n}")
-        labels = self.labels
-        if labels is None:
-            labels = (0,) * self.n
-        else:
-            labels = tuple(int(x) for x in labels)
-            if len(labels) != self.n:
-                raise InputError(
-                    f"expected {self.n} labels, got {len(labels)}"
-                )
+        r, n = _ints((self.r, self.n), "uniformity and vertex count")
+        if r < 1:
+            raise InputError(f"uniformity must be >= 1, got {r}")
+        if n < 0:
+            raise InputError(f"vertex count must be >= 0, got {n}")
+        labels = (0,) * n if self.labels is None else _ints(self.labels, "labels")
+        if len(labels) != n:
+            raise InputError(f"expected {n} labels, got {len(labels)}")
         seen = set()
         norm = []
         for edge in self.edges:
-            e = tuple(sorted(edge))
-            if len(e) != self.r:
+            e = tuple(sorted(_ints(edge, "edge vertices")))
+            if len(e) != r:
                 raise InputError(
-                    f"edge {tuple(edge)} has {len(e)} vertices, expected r={self.r}"
+                    f"edge {tuple(edge)} has {len(e)} vertices, expected r={r}"
                 )
-            if len(set(e)) != self.r:
+            if len(set(e)) != r:
                 raise InputError(f"edge {tuple(edge)} repeats a vertex")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise InputError(
-                    f"edge {e} is not within vertex range 0..{self.n - 1}"
-                )
+            if e[0] < 0 or e[-1] >= n:
+                raise InputError(f"edge {e} is not within vertex range 0..{n - 1}")
             if e not in seen:
                 seen.add(e)
                 norm.append(e)
         norm.sort()
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", tuple(norm))
+        self.__dict__.update(r=r, n=n, labels=labels, edges=tuple(norm))
+
+    @classmethod
+    def _trusted(cls, r: int, n: int, labels: tuple, edges: tuple) -> "Graph":
+        """Internal, unchecked: `labels` is a tuple of n ints and `edges` is in
+        normal form (increasing int tuples in 0..n-1, sorted, no repeats)."""
+        g = object.__new__(cls)
+        g.__dict__.update(r=r, n=n, labels=labels, edges=edges)
+        return g
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.r, self.n, self.labels, self.edges))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
@@ -197,7 +214,7 @@ def induced_subgraph(g: Graph, alpha: Injection) -> Graph:
         for e in combinations(range(k), g.r)
         if tuple(sorted(alpha(v) for v in e)) in g.edge_set
     ]
-    return Graph(g.r, k, labels, tuple(edges))
+    return Graph._trusted(g.r, k, labels, tuple(edges))
 
 
 def contains(g: Graph, f: Graph) -> bool:
@@ -243,15 +260,10 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     n, r = g.n, g.r
     target_labels = tuple(sorted(g.labels))
     if n <= 1 or len(g.edges) == 0:
-        rep = Graph(r, n, target_labels, g.edges)
-        aut = 1
-        for lab in set(target_labels):
-            c = target_labels.count(lab)
-            for i in range(2, c + 1):
-                aut *= i
+        rep = Graph._trusted(r, n, target_labels, g.edges)
+        aut = math.prod(math.factorial(g.labels.count(lab)) for lab in set(g.labels))
         result = (rep, aut)
-        _CANON_CACHE[g] = result
-        _CANON_CACHE[rep] = result
+        _CANON_CACHE[g] = _CANON_CACHE[rep] = result
         return result
 
     # old vertices usable at each new position, grouped by label
@@ -335,11 +347,10 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     new = [0] * n  # old vertex -> new position in the representative
     for i, old in enumerate(best_perm):
         new[old] = i
-    edges = tuple(tuple(new[v] for v in e) for e in g.edges)
-    rep = Graph(r, n, target_labels, edges)  # Graph sorts the edges
+    edges = tuple(sorted(tuple(sorted(new[v] for v in e)) for e in g.edges))
+    rep = Graph._trusted(r, n, target_labels, edges)
     result = (rep, count)
-    _CANON_CACHE[g] = result
-    _CANON_CACHE[rep] = result
+    _CANON_CACHE[g] = _CANON_CACHE[rep] = result
     return result
 
 
@@ -509,8 +520,6 @@ def graph_from_text(text: str) -> Graph:
             labels = tuple(int(x) for x in lpart.split(","))
         except ValueError:
             raise InputError(f"bad label list {lpart!r}") from None
-        if len(labels) != n:
-            raise InputError(f"expected {n} labels, got {len(labels)}")
     edges = []
     consumed = 0
     for em in _EDGE_RE.finditer(epart):
@@ -527,5 +536,4 @@ def graph_from_text(text: str) -> Graph:
         raise InputError(f"bad edge list {epart!r}")
     if edges != sorted(edges) or len(set(edges)) != len(edges):
         raise InputError("edge list must be lexicographically sorted, no repeats")
-    g = Graph(r, n, labels, tuple(edges))
-    return g
+    return Graph(r, n, labels, tuple(edges))

@@ -4,7 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -36,17 +36,19 @@ from hypalg import (
     functor_from_text,
     functor_size,
     functor_to_text,
+    lift,
     loose_scheme,
     nind,
     operator_apply,
     path_graph,
     path_scheme,
     point,
+    product,
     subdivide,
     tau_apply,
     triangle_scheme,
 )
-from hypalg import functors
+from hypalg import functors, graphs
 from oracles import brute_operator_apply, brute_well_defined, reference_canonical
 
 
@@ -350,21 +352,31 @@ def test_operator_budget():
 
 
 def test_operator_budget_message_counts_labellings():
-    # one edge on three vertices leaves its two non-edges undecided; the
-    # three input vertices carry either of two labels: 2^2 * 2^3 = 32
+    # one edge on three vertices: each non-edge is one slot that must stay
+    # off, so no slot is undecided; the three input vertices carry either
+    # of two labels: 2^0 * 2^3 = 8
     tau = UpwardTransformation(
         SubsetsF(1), 2, 2, complete_graph(2, 2), labels=frozenset({0, 1})
     )
     term = LinComb.from_graph(Graph(2, 3, None, ((0, 1),)))
     with pytest.raises(ResourceError) as info:
-        operator_apply(Operator(tau, budget=8), term)
+        operator_apply(Operator(tau, budget=4), term)
     assert str(info.value) == (
-        "term of order 3 leaves 2 undecided edge slots on eta([3]) "
-        "(2^2 edge sets * 2^3 labellings = 32 completions; budget 8)"
+        "term of order 3 leaves 0 undecided edge slots on eta([3]) "
+        "(2^0 edge sets * 2^3 labellings = 8 completions; budget 4)"
     )
     # the only edge set is the term's own edge, under all 8 labellings
-    got = operator_apply(Operator(tau, budget=32), term)
+    got = operator_apply(Operator(tau, budget=8), term)
     assert sum(got.coeffs.values()) == 8
+
+
+def test_operator_decides_slots_a_lone_non_edge_forces_off():
+    # under blowup:1 each non-edge of the term is one slot that must stay
+    # off, so the only completion of P7 is P7 itself; counting those slots
+    # as undecided asked for 2^21 edge sets, over the default budget
+    op = blowup_scheme(1).operator(attach=False)
+    got = operator_apply(op, LinComb.from_graph(path_graph(7)), method="enumerate")
+    assert got == LinComb.from_graph(path_graph(7))
 
 
 def test_operator_validates_input():
@@ -477,6 +489,44 @@ def test_operator_matches_brute_force(case):
         by_class = {reference_canonical(h)[0]: c for h, c in got.coeffs.items()}
         assert len(by_class) == len(got.coeffs)
         assert by_class == brute_operator_apply(op, f), (case, term)
+
+
+def test_trusted_values_are_in_normal_form():
+    # the kernels build their graphs without the constructor's checks; each
+    # graph they canonicalise and each key they return must be the value the
+    # public constructor makes of it
+    start = len(graphs._CANON_CACHE)  # the cache only grows, in order
+    rng = random.Random(8117)
+    keys = []
+    for r in (2, 3):
+        for labels in (frozenset({0}), frozenset({0, 1})):
+
+            def graph(n_max):
+                return property_suites._random_graph(
+                    rng, n_max, (r,), labeled=True, label_set=tuple(sorted(labels))
+                )
+
+            keys += [canonical(graph(6))[0] for _ in range(40)]
+            # operands small enough that a product has at most 2^9 terms
+            n_max = 3 if r == 2 else 2
+            for _ in range(4):
+                f, g = (
+                    LinComb(r, labels, {graph(n_max): 1 for _ in range(2)})
+                    for _ in range(2)
+                )
+                keys += product(f, g).coeffs
+                keys += nind(f).coeffs
+                keys += lift(f, 4).lincomb.coeffs
+    for case in ("copies:2", "box/dump", "two rules"):
+        op, terms = _BRUTE_CASES[case]
+        for term in terms:
+            f = LinComb.from_graph(term, op.tau.base_labels)
+            keys += operator_apply(op, f, method="enumerate").coeffs
+    keys += islice(graphs._CANON_CACHE, start, None)
+    for g in keys:
+        public = Graph(g.r, g.n, g.labels, g.edges)
+        assert public == g and hash(public) == hash(g) and repr(public) == repr(g)
+        assert all(type(x) is int for x in g.labels), g
 
 
 @pytest.mark.parametrize(

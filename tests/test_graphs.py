@@ -1,6 +1,7 @@
 """Graph values, canonical representatives, isomorphism, text format."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -42,20 +43,32 @@ def test_degrees():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "args, message",
     [
-        lambda: Graph(0, 2),
-        lambda: Graph(2, -1),
-        lambda: Graph(2, 3, (0, 1)),  # label count
-        lambda: Graph(2, 3, None, ((0, 1, 2),)),  # arity
-        lambda: Graph(2, 3, None, ((0, 0),)),  # repeated vertex
-        lambda: Graph(2, 3, None, ((0, 3),)),  # out of range
-        lambda: Graph(2, 2, None, ((-1, 0),)),
+        ((0, 2), "uniformity must be >= 1, got 0"),
+        ((2, -1), "vertex count must be >= 0, got -1"),
+        ((2, 3, (0, 1)), "expected 3 labels, got 2"),
+        ((2, 3, None, ((0, 1, 2),)), "edge (0, 1, 2) has 3 vertices, expected r=2"),
+        ((2, 3, None, ((0, 0),)), "edge (0, 0) repeats a vertex"),
+        ((2, 3, None, ((0, 3),)), "edge (0, 3) is not within vertex range 0..2"),
+        ((2, 2, None, ((-1, 0),)), "edge (-1, 0) is not within vertex range 0..1"),
+        # non-ints, which int() or sorted() used to let through or turn
+        # into a ValueError or TypeError
+        ((2.0, 3), "uniformity and vertex count must be ints, got (2.0, 3)"),
+        ((2, "3"), "uniformity and vertex count must be ints, got (2, '3')"),
+        ((2, 2, (0.7, 1.2)), "labels must be ints, got (0.7, 1.2)"),
+        ((2, 2, ("a", 0)), "labels must be ints, got ('a', 0)"),
+        ((2, 1, (Fraction(1),)), "labels must be ints, got (Fraction(1, 1),)"),
+        ((2, 2, 5), "labels must be ints, got 5"),
+        ((2, 3, None, ((0.0, 2.0),)), "edge vertices must be ints, got (0.0, 2.0)"),
+        ((2, 3, None, ((0, "1"),)), "edge vertices must be ints, got (0, '1')"),
+        ((1, 2, None, (0, 1)), "edge vertices must be ints, got 0"),
     ],
 )
-def test_construction_rejects(bad):
-    with pytest.raises(InputError):
-        bad()
+def test_construction_rejects(args, message):
+    with pytest.raises(InputError) as info:
+        Graph(*args)
+    assert str(info.value) == message
 
 
 def test_injection_basics():
