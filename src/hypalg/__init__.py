@@ -8,193 +8,22 @@ Everything is exact rational arithmetic; nothing floats except the final
 decimal rendering in the CLI.
 """
 
-from .errors import InputError, ResourceError
-from .graphs import (
-    Graph,
-    Injection,
-    automorphism_count,
-    canonical,
-    complement,
-    complete_bipartite,
-    complete_graph,
-    contains,
-    cycle_graph,
-    empty_graph,
-    graph_from_text,
-    graph_to_text,
-    induced_subgraph,
-    is_isomorphic,
-    path_graph,
-    single_vertex,
-)
-from .algebra import (
-    LinComb,
-    UniformRep,
-    alg_equal,
-    coeff_positive_at,
-    eval_quasirandom,
-    extend_label_set,
-    lift,
-    lincomb_from_text,
-    lincomb_to_text,
-    nind,
-    order,
-    point,
-    point_sum,
-    product,
-    unit,
-)
-from .functors import (
-    ConstF,
-    Operator,
-    ProductF,
-    SubsetsF,
-    UnionF,
-    UpwardTransformation,
-    apply_functor_injection,
-    apply_functor_set,
-    check_multiplicative,
-    functor_from_text,
-    functor_size,
-    functor_to_text,
-    operator_apply,
-    tau_apply,
-)
-from .constructions import (
-    LabeledLift,
-    SubdivisionScheme,
-    blowup,
-    blowup_scheme,
-    box_product,
-    box_scheme,
-    check_symmetry,
-    copies_scheme,
-    crossing_scheme,
-    drop_labels,
-    even_expansion,
-    even_scheme,
-    lift_labels,
-    loose_expansion,
-    loose_scheme,
-    mixed_scheme,
-    path_scheme,
-    scheme_from_text,
-    scheme_to_text,
-    subdivide,
-    triangle_scheme,
-)
-from .densities import (
-    blowup_density_curve,
-    hom_density,
-    inj_density,
-    limit_inj_blowup,
-)
-from .harness import (
-    CITED_FIVE_CYCLE_POLY,
-    BoundPolynomial,
-    CheckStep,
-    TheoremReport,
-    eval_nind_quasirandom,
-    format_report,
-    m5_bound,
-    m5_direct,
-    verify_box,
-    verify_forcing_pair_operator,
-    verify_gensubdivision,
-    verify_goodman_lift,
-    verify_hypergraph,
-    verify_m5,
-    verify_tensor_power,
-)
+from .errors import *
+from .graphs import *
+from .algebra import *
+from .functors import *
+from .constructions import *
+from .densities import *
+from .harness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundPolynomial",
-    "CITED_FIVE_CYCLE_POLY",
-    "CheckStep",
-    "ConstF",
-    "Graph",
-    "Injection",
-    "InputError",
-    "LabeledLift",
-    "LinComb",
-    "Operator",
-    "ProductF",
-    "ResourceError",
-    "SubdivisionScheme",
-    "SubsetsF",
-    "TheoremReport",
-    "UniformRep",
-    "UnionF",
-    "UpwardTransformation",
-    "alg_equal",
-    "apply_functor_injection",
-    "apply_functor_set",
-    "automorphism_count",
-    "blowup",
-    "blowup_density_curve",
-    "blowup_scheme",
-    "box_product",
-    "box_scheme",
-    "canonical",
-    "check_multiplicative",
-    "check_symmetry",
-    "coeff_positive_at",
-    "complement",
-    "complete_bipartite",
-    "complete_graph",
-    "contains",
-    "copies_scheme",
-    "crossing_scheme",
-    "cycle_graph",
-    "drop_labels",
-    "empty_graph",
-    "eval_nind_quasirandom",
-    "eval_quasirandom",
-    "even_expansion",
-    "even_scheme",
-    "extend_label_set",
-    "format_report",
-    "functor_from_text",
-    "functor_size",
-    "functor_to_text",
-    "graph_from_text",
-    "graph_to_text",
-    "hom_density",
-    "induced_subgraph",
-    "inj_density",
-    "is_isomorphic",
-    "lift",
-    "lift_labels",
-    "limit_inj_blowup",
-    "lincomb_from_text",
-    "lincomb_to_text",
-    "loose_expansion",
-    "loose_scheme",
-    "m5_bound",
-    "m5_direct",
-    "mixed_scheme",
-    "nind",
-    "operator_apply",
-    "order",
-    "path_graph",
-    "path_scheme",
-    "point",
-    "point_sum",
-    "product",
-    "scheme_from_text",
-    "scheme_to_text",
-    "single_vertex",
-    "subdivide",
-    "tau_apply",
-    "triangle_scheme",
-    "unit",
-    "verify_box",
-    "verify_forcing_pair_operator",
-    "verify_gensubdivision",
-    "verify_goodman_lift",
-    "verify_hypergraph",
-    "verify_m5",
-    "verify_tensor_power",
-]
+__all__ = (
+    errors.__all__
+    + graphs.__all__
+    + algebra.__all__
+    + functors.__all__
+    + constructions.__all__
+    + densities.__all__
+    + harness.__all__
+)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import Graph, canonical, graph_from_text, graph_to_text
+from .graphs import Graph, _ints, canonical, graph_from_text, graph_to_text
 
 __all__ = [
     "LinComb",
@@ -77,7 +77,7 @@ class LinComb:
     def __init__(self, r: int, label_set=frozenset({0}), coeffs=None):
         if r < 1:
             raise InputError(f"uniformity must be >= 1, got {r}")
-        label_set = frozenset(int(x) for x in label_set)
+        label_set = frozenset(_ints(label_set, "label set"))
         if not label_set:
             raise InputError("label set must be nonempty")
         norm: dict[Graph, Fraction] = {}
@@ -377,7 +377,7 @@ def eval_quasirandom(f, p) -> Fraction:
 def extend_label_set(f, label_set) -> LinComb:
     """The same formal sum viewed over a larger label set."""
     f = _coerce(f)
-    label_set = frozenset(int(x) for x in label_set)
+    label_set = frozenset(_ints(label_set, "label set"))
     if not f.label_set <= label_set:
         raise InputError(
             f"new label set {sorted(label_set)} must contain "

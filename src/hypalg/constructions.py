@@ -10,10 +10,11 @@ replaces each vertex of a base graph by an F_v copy and each edge by an F_e
 copy across its blocks with fresh private vertices.
 
 Every scheme also knows its upward transformation (the template rule whose
-operator sums tau-preimages) and a closed form for nind-shaped inputs, which
-`operator_apply` uses when the scheme is attached; the closed form returns an
-algebra-equal element, not necessarily the identical formal sum (preimage
-sums carry extra isolated private vertices for non-edges of the base graph).
+operator sums tau-preimages) and `closed_form_nind`, the closed form of that
+operator on nind-shaped inputs. The harness compares the two; the closed form
+is an algebra-equal element, not necessarily the identical formal sum
+(preimage sums carry extra isolated private vertices for non-edges of the
+base graph).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .functors import (
 from .graphs import (
     Graph,
     Injection,
+    _ints,
     _maps,
     graph_from_text,
     graph_to_text,
@@ -86,7 +88,7 @@ def check_symmetry(f: Graph, sets) -> bool:
     copy whose marks are moved by sigma: it must send set j onto set
     sigma(j) element-wise.
     """
-    sets = tuple(tuple(int(v) for v in s) for s in sets)
+    sets = tuple(_ints(s, "vertices") for s in sets)
     if not sets:
         raise InputError("need at least one vertex set")
     size = len(sets[0])
@@ -188,13 +190,13 @@ class SubdivisionScheme:
             ProductF(SubsetsF(self.base_r), ConstF(tuple(range(self.s_prime)))),
         )
 
-    def transformation(self, labeled: bool = False, dump_label: int = 1):
+    def transformation(self, labeled: bool = False):
         """The template transformation whose operator inverts subdivision.
 
         Unlabeled: an output edge requires the full gadget (F_e plus the F_v
         copies in each block). Labeled: the edge rule requires F_e only, and
         a vertex keeps label 0 exactly when its block carries the F_v copy,
-        falling back to the dump label.
+        falling back to the dump label 1.
         """
         m, r = self.m, self.f_v.r
         edges = list(self.f_e.edges)
@@ -213,23 +215,13 @@ class SubdivisionScheme:
             r,
             self.base_r,
             template,
-            base_labels=frozenset({0, dump_label}),
+            base_labels=frozenset({0, 1}),
             vertex_rules=((0, vertex_template),),
-            default_label=dump_label,
+            default_label=1,
         )
 
-    def operator(
-        self,
-        budget: int = 1 << 20,
-        labeled: bool = False,
-        dump_label: int = 1,
-        attach: bool = True,
-    ) -> Operator:
-        return Operator(
-            self.transformation(labeled, dump_label),
-            budget,
-            scheme=self if attach else None,
-        )
+    def operator(self, budget: int = 1 << 20, labeled: bool = False) -> Operator:
+        return Operator(self.transformation(labeled), budget)
 
     def closed_form_nind(self, g0: Graph, labeled: bool, labels) -> LinComb:
         """nind(subdivide(self, g0)) — what the operator sends nind(g0) to.
@@ -461,7 +453,7 @@ def lift_labels(f0, ell: int) -> LinComb:
         raise InputError(
             f"expected UniformRep or LinComb, got {type(f0).__name__}"
         )
-    ell = int(ell)
+    (ell,) = _ints((ell,), "labels")
     if ell in lc.label_set:
         raise InputError(f"label {ell} already present in {sorted(lc.label_set)}")
     return extend_label_set(lc, lc.label_set | {ell})
@@ -478,10 +470,11 @@ class LabeledLift:
 
     @classmethod
     def of(cls, f0, ell: int) -> "LabeledLift":
+        (ell,) = _ints((ell,), "labels")
         lifted = lift_labels(f0, ell)
         if isinstance(f0, LinComb):
             f0 = UniformRep(f0, order(f0))
-        return cls(f0, int(ell), lifted)
+        return cls(f0, ell, lifted)
 
 
 def drop_labels(h: Graph, ell: int) -> Graph:

@@ -22,13 +22,13 @@ itself (see `UpwardTransformation._check_well_defined`).
 
 An `Operator` wraps a transformation with an enumeration budget and maps a
 combination over the output algebra to one over the input algebra by summing,
-for each term G, all graphs H on eta(V_G) with tau(H) = G. The generic path
+for each term G, all graphs H on eta(V_G) with tau(H) = G. It always
 enumerates the completions of G (edge sets and labellings of eta(V_G)) but
 canonicalises only those of one edge set per orbit of Aut(G), weighted by
 the orbit size; `Operator.budget` bounds the completions enumerated, not
-those canonicalised. When a subdivision scheme is attached, nind-shaped inputs
-route through the scheme's closed form; `method="enumerate"` forces the
-generic path, which serves as the independent cross-check.
+those canonicalised. The closed form of a subdivision scheme's operator on
+nind-shaped inputs is `SubdivisionScheme.closed_form_nind`, which the
+harness checks against this enumeration.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add, nind
+from .algebra import LinComb, _add
 from .errors import InputError, ResourceError
-from .graphs import Graph, Injection, _maps, canonical
+from .graphs import Graph, Injection, _ints, _maps, canonical
 
 __all__ = [
     "ConstF",
@@ -196,9 +196,13 @@ class UpwardTransformation:
     default_label: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "base_labels", frozenset(self.base_labels))
+        object.__setattr__(self, "labels", frozenset(_ints(self.labels, "labels")))
+        object.__setattr__(
+            self, "base_labels", frozenset(_ints(self.base_labels, "output labels"))
+        )
         object.__setattr__(self, "vertex_rules", tuple(self.vertex_rules))
+        _ints(tuple(lab for lab, _ in self.vertex_rules), "vertex rule labels")
+        _ints((self.default_label,), "default label")
         if self.r < 1 or self.base_r < 1:
             raise InputError("uniformities must be >= 1")
         n_rule = functor_size(self.eta, self.base_r)
@@ -335,28 +339,14 @@ def _vertex_label(tau: UpwardTransformation, n: int, h: Graph, v: int) -> int:
 
 @dataclass(frozen=True)
 class Operator:
-    """A transformation plus an enumeration budget; optionally a subdivision
-    scheme whose closed form can answer nind-shaped inputs directly."""
+    """A transformation plus an enumeration budget."""
 
     tau: UpwardTransformation
     budget: int = 1 << 20
-    scheme: object = None
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise InputError(f"budget must be >= 1, got {self.budget}")
-
-
-def _detect_nind(f: LinComb) -> Graph | None:
-    """If f equals nind(G) for a (necessarily unique) graph G, return G."""
-    if not f.coeffs:
-        return None
-    g0 = min(f.coeffs, key=lambda g: (len(g.edges), g.n))
-    if f.coeffs[g0] != 1:
-        return None
-    if nind(LinComb.from_graph(g0, f.label_set)) == f:
-        return g0
-    return None
 
 
 def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
@@ -433,7 +423,7 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     grouped = {i for grp in cleaned for i in grp}
     dfs_order = sorted(free, key=lambda i: i not in grouped)
 
-    labelings = sorted(int(x) for x in tau.labels)
+    labelings = sorted(tau.labels)
     k = len(dfs_order)
     n_labelings = len(labelings) ** w
     if (1 << k) * n_labelings > op.budget:
@@ -512,16 +502,9 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     dfs(0, 0, [0] * len(actions))
 
 
-def operator_apply(op: Operator, f, method: str = "auto") -> LinComb:
+def operator_apply(op: Operator, f) -> LinComb:
     """Sum of tau-preimages, extended linearly: each term G contributes all
-    graphs H on eta(V_G) with tau(H) = G.
-
-    method: "auto" uses the attached scheme's closed form for nind-shaped
-    inputs when possible; "enumerate" always runs the generic completion
-    search; "closed" demands the closed form and fails if it does not apply.
-    """
-    if method not in ("auto", "enumerate", "closed"):
-        raise InputError(f"unknown method {method!r}")
+    graphs H on eta(V_G) with tau(H) = G, found by the completion search."""
     if isinstance(f, Graph):
         f = LinComb.from_graph(f, op.tau.base_labels)
     if not isinstance(f, LinComb):
@@ -535,20 +518,6 @@ def operator_apply(op: Operator, f, method: str = "auto") -> LinComb:
             f"operator consumes label set {sorted(op.tau.base_labels)}, "
             f"got {sorted(f.label_set)}"
         )
-    if method in ("auto", "closed") and op.scheme is not None:
-        g0 = _detect_nind(f)
-        if g0 is not None:
-            try:
-                return op.scheme.closed_form_nind(
-                    g0, labeled=bool(op.tau.vertex_rules), labels=op.tau.labels
-                )
-            except InputError:
-                if method == "closed":
-                    raise
-        elif method == "closed":
-            raise InputError("closed form applies only to nind-shaped inputs")
-    elif method == "closed":
-        raise InputError("no scheme attached; closed form unavailable")
     out: dict[Graph, Fraction] = {}
     for g, c in f.coeffs.items():
         _term_preimages(op, g, c, out)
@@ -560,11 +529,8 @@ def check_multiplicative(op: Operator, f: LinComb, g: LinComb) -> bool:
     when the functor has no constant part, possibly false otherwise."""
     from .algebra import alg_equal, product
 
-    lhs = operator_apply(op, product(f, g), method="enumerate")
-    rhs = product(
-        operator_apply(op, f, method="enumerate"),
-        operator_apply(op, g, method="enumerate"),
-    )
+    lhs = operator_apply(op, product(f, g))
+    rhs = product(operator_apply(op, f), operator_apply(op, g))
     return alg_equal(lhs, rhs)
 
 

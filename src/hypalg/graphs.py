@@ -39,6 +39,7 @@ from .errors import InputError
 __all__ = [
     "Graph",
     "Injection",
+    "automorphism_count",
     "canonical",
     "complement",
     "complete_bipartite",
@@ -163,7 +164,7 @@ class Injection:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        image = tuple(int(x) for x in self.image)
+        image = _ints(self.image, "image")
         if len(image) != self.source_n:
             raise InputError(
                 f"image has {len(image)} entries, expected {self.source_n}"

@@ -9,8 +9,10 @@ values compared at sampled quasirandom points, where equality must hold —
 consistency evidence, never a proof of the inequality itself). The overall
 verdict is the conjunction of the steps.
 
-Preimage-sum computations here always force the generic enumeration path, so
-the closed forms being verified are never used to verify themselves.
+The subdivision reports share one swap step: the scheme operator, whose
+preimage sum is always enumerated, applied to the supergraph sum of a base
+graph must equal `SubdivisionScheme.closed_form_nind`, the supergraph sum of
+the subdivided graph. The closed form appears only on that expected side.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ from .graphs import (
 
 __all__ = [
     "BoundPolynomial",
+    "CITED_FIVE_CYCLE_POLY",
     "CheckStep",
-    "DEFAULT_P_SAMPLES",
     "TheoremReport",
+    "eval_nind_quasirandom",
     "format_report",
     "m5_bound",
     "m5_direct",
@@ -145,15 +148,25 @@ def _truncate(text: str, limit: int = 220) -> str:
 
 def _exact_step(report, description, lhs: LinComb, rhs: LinComb) -> bool:
     ok = alg_equal(lhs, rhs)
+    n = max(order(lhs), order(rhs))
     if ok:
-        n = max(order(lhs), order(rhs))
         witness = f"sides agree at uniform order {n}"
     else:
-        n = max(order(lhs), order(rhs))
         diff = lift(lhs, n).lincomb - lift(rhs, n).lincomb
         witness = _truncate(f"difference at order {n}: {lincomb_to_text(diff)}")
     report.add(description, EXACT, ok, witness)
     return ok
+
+
+def _swap_step(report, description, scheme: SubdivisionScheme, op, g: Graph) -> bool:
+    """The swap identity on g: the operator's enumerated preimage sum of the
+    supergraph sum of g (over the operator's input labels) equals the
+    scheme's closed form, the supergraph sum of the subdivided graph."""
+    lhs = operator_apply(op, extend_label_set(nind(g), op.tau.base_labels))
+    rhs = scheme.closed_form_nind(
+        g, labeled=bool(op.tau.vertex_rules), labels=op.tau.labels
+    )
+    return _exact_step(report, description, lhs, rhs)
 
 
 def eval_nind_quasirandom(g: Graph, p: Fraction, u: int = 1) -> Fraction:
@@ -219,8 +232,7 @@ def verify_tensor_power(g: Graph, s: int, budget: int = 1 << 20) -> TheoremRepor
     t0 = time.perf_counter()
     report = TheoremReport(f"tensor-power-s{s}")
     scheme = copies_scheme(s)
-    op = scheme.operator(budget=budget, attach=False)
-    lhs = operator_apply(op, nind(g), method="enumerate")
+    lhs = operator_apply(scheme.operator(budget=budget), nind(g))
     rhs = unit(2)
     base = nind(g)
     for _ in range(s):
@@ -276,12 +288,12 @@ def verify_gensubdivision(
     t0 = time.perf_counter()
     report = TheoremReport("generalized-subdivision")
     sub = subdivide(scheme, g)
-    op = scheme.operator(budget=budget, attach=False)
+    op = scheme.operator(budget=budget)
 
     # multiplicativity probe, first as the smallest enumeration: a single
     # edge times a point when that fits a small probe budget, otherwise two
     # points under the full budget, which refuses oversized gadgets early
-    probe_op = scheme.operator(budget=min(budget, 1 << 14), attach=False)
+    probe_op = scheme.operator(budget=min(budget, 1 << 14))
     probe_f = LinComb.from_graph(complete_graph(scheme.base_r, scheme.base_r))
     probe_g = point(scheme.base_r, 0)
     probe_desc = "single edge, single vertex"
@@ -292,22 +304,18 @@ def verify_gensubdivision(
         probe_desc = "two single vertices"
         ok_mult = check_multiplicative(op, probe_f, probe_g)
 
-    swap_g, note = g, ""
+    swap = (
+        "preimage sum of the supergraph expansion of {!r} matches the "
+        "subdivided graph's{}"
+    )
     try:
-        lhs = operator_apply(op, nind(swap_g), method="enumerate")
+        _swap_step(report, swap.format(g, ""), scheme, op, g)
     except ResourceError:
         # the enumeration cross-check only needs to fit on the smallest
         # instance; for larger bases fall back to a single edge
-        swap_g = complete_graph(scheme.base_r, scheme.base_r)
+        edge = complete_graph(scheme.base_r, scheme.base_r)
         note = " (budget covers the single-edge instance only)"
-        lhs = operator_apply(op, nind(swap_g), method="enumerate")
-    _exact_step(
-        report,
-        f"preimage sum of the supergraph expansion of {swap_g!r} matches "
-        f"the subdivided graph's{note}",
-        lhs,
-        nind(LinComb.from_graph(subdivide(scheme, swap_g))),
-    )
+        _swap_step(report, swap.format(edge, note), scheme, op, edge)
     report.add(
         f"scheme operator is multiplicative on the probe pair ({probe_desc})",
         EXACT,
@@ -358,7 +366,6 @@ def verify_box(g: Graph, p_samples=None, budget: int = 1 << 20) -> TheoremReport
     t0 = time.perf_counter()
     report = TheoremReport("box-product-chain")
     scheme = box_scheme()
-    dump = 1
     sub = subdivide(scheme, g)
     boxed = box_product(g, complete_graph(2, 2))
     report.add(
@@ -369,23 +376,19 @@ def verify_box(g: Graph, p_samples=None, budget: int = 1 << 20) -> TheoremReport
         f"{sub.n} vertices, {len(sub.edges)} edges",
     )
 
-    op = scheme.operator(budget=budget, labeled=True, dump_label=dump, attach=False)
-    embedded = extend_label_set(nind(g), frozenset({0, dump}))
-    lhs = operator_apply(op, embedded, method="enumerate")
-    _exact_step(
+    op = scheme.operator(budget=budget, labeled=True)
+    _swap_step(
         report,
         "dump-label preimage sum of the embedded supergraph expansion "
         "matches the subdivided graph's",
-        lhs,
-        nind(LinComb.from_graph(sub)),
+        scheme,
+        op,
+        g,
     )
-
-    one_vertex = point(2, 0, frozenset({0, dump}))
-    lhs_point = operator_apply(op, one_vertex, method="enumerate")
     _exact_step(
         report,
         "the 0-labeled one-vertex class maps to a single edge",
-        lhs_point,
+        operator_apply(op, point(2, 0, op.tau.base_labels)),
         LinComb.from_graph(complete_graph(2, 2)),
     )
 
@@ -444,22 +447,14 @@ def verify_hypergraph(
     report = TheoremReport(f"hypergraph-expansion-r{r}-m{m}")
     sub = subdivide(scheme, g)
 
-    if m == 1 and sp > 0:
-        direct = loose_expansion(g, r)
+    if sp == 0 or m == 1:
+        name = "even" if sp == 0 else "loose"
+        expand = even_expansion if sp == 0 else loose_expansion
         report.add(
-            "subdividing with the single-edge gadget reproduces the loose "
+            f"subdividing with the single-edge gadget reproduces the {name} "
             "expansion literally",
             CONSTRUCT,
-            sub == direct,
-            f"{sub.n} vertices, {len(sub.edges)} edges",
-        )
-    elif sp == 0:
-        direct = even_expansion(g, r)
-        report.add(
-            "subdividing with the single-edge gadget reproduces the even "
-            "expansion literally",
-            CONSTRUCT,
-            sub == direct,
+            sub == expand(g, r),
             f"{sub.n} vertices, {len(sub.edges)} edges",
         )
     else:
@@ -470,27 +465,26 @@ def verify_hypergraph(
             f"{sub.n} vertices, {len(sub.edges)} edges",
         )
 
-    k2 = complete_graph(2, 2)
-    op = scheme.operator(budget=budget, attach=False)
-    lhs = operator_apply(op, nind(k2), method="enumerate")
-    _exact_step(
+    op = scheme.operator(budget=budget)
+    _swap_step(
         report,
         "on the minimal instance (one edge) the preimage sum is the "
         "supergraph expansion of one r-edge",
-        lhs,
-        nind(LinComb.from_graph(complete_graph(r, r))),
+        scheme,
+        op,
+        complete_graph(2, 2),
     )
 
     # run the full swap on g too when the completion space is tiny
     w = g.n * m + math.comb(g.n, 2) * sp
     if g.n >= 2 and math.comb(w, r) - len(g.edges) <= 12:
-        lhs_g = operator_apply(op, nind(g), method="enumerate")
-        _exact_step(
+        _swap_step(
             report,
             f"preimage sum of the supergraph expansion of {g!r} matches the "
             f"expansion's",
-            lhs_g,
-            nind(LinComb.from_graph(sub)),
+            scheme,
+            op,
+            g,
         )
 
     baseline = complete_graph(r, r)

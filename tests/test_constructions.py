@@ -297,16 +297,34 @@ def test_expansion_rejects():
 # closed-form behaviour of scheme operators
 
 
-def test_closed_form_nind_labeled_matches_enumeration():
-    scheme = box_scheme()
-    for g in [single_vertex(2), K2]:
-        base = Graph(2, g.n, None, g.edges)
-        f = extend_label_set(nind(LinComb.from_graph(base)), {0, 1})
-        enum = operator_apply(
-            scheme.operator(labeled=True, attach=False), f, method="enumerate"
-        )
-        closed = scheme.closed_form_nind(base, labeled=True, labels={0})
-        assert alg_equal(enum, closed)
+_CATALOG = {
+    "blowup:1": blowup_scheme(1),
+    "blowup:2": blowup_scheme(2),
+    "copies:2": copies_scheme(2),
+    "path:2": path_scheme(2),
+    "triangle": triangle_scheme(),
+    "box": box_scheme(),
+    "crossing": crossing_scheme(),
+    "loose:3": loose_scheme(3),
+    "even:4": even_scheme(4),
+}
+
+
+_BASES = {"point": single_vertex(2), "K2": K2, "P2": path_graph(2)}
+
+
+@pytest.mark.parametrize(
+    "name, labeled, base",
+    [(name, False, "K2") for name in _CATALOG]
+    + [(name, False, "P2") for name in ("copies:2", "path:2", "box")]
+    + [(name, True, base) for name in ("box", "crossing") for base in ("point", "K2")],
+)
+def test_closed_form_nind_matches_enumeration(name, labeled, base):
+    scheme, g = _CATALOG[name], _BASES[base]
+    op = scheme.operator(labeled=labeled)
+    f = extend_label_set(nind(g), op.tau.base_labels)
+    closed = scheme.closed_form_nind(g, labeled=labeled, labels=op.tau.labels)
+    assert alg_equal(operator_apply(op, f), closed)
 
 
 def test_closed_form_nind_unlabeled_requires_no_isolated_vertices():

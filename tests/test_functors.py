@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -21,7 +20,6 @@ from hypalg import (
     SubsetsF,
     UnionF,
     UpwardTransformation,
-    alg_equal,
     apply_functor_injection,
     apply_functor_set,
     blowup_scheme,
@@ -344,9 +342,9 @@ def test_well_definedness_matches_brute_force():
 
 def test_operator_budget():
     scheme = box_scheme()
-    op = scheme.operator(budget=4, attach=False)
+    op = scheme.operator(budget=4)
     with pytest.raises(ResourceError, match="undecided edge slots"):
-        operator_apply(op, nind(path_graph(2)), method="enumerate")
+        operator_apply(op, nind(path_graph(2)))
     with pytest.raises(InputError):
         Operator(scheme.transformation(), budget=0)
 
@@ -374,36 +372,25 @@ def test_operator_decides_slots_a_lone_non_edge_forces_off():
     # under blowup:1 each non-edge of the term is one slot that must stay
     # off, so the only completion of P7 is P7 itself; counting those slots
     # as undecided asked for 2^21 edge sets, over the default budget
-    op = blowup_scheme(1).operator(attach=False)
-    got = operator_apply(op, LinComb.from_graph(path_graph(7)), method="enumerate")
+    op = blowup_scheme(1).operator()
+    got = operator_apply(op, LinComb.from_graph(path_graph(7)))
     assert got == LinComb.from_graph(path_graph(7))
 
 
+def test_operator_on_a_supergraph_sum_shaped_term_enumerates():
+    # under blowup:1 each of the 28 non-edges of the empty graph on 8
+    # vertices is a slot that stays off: one completion, and nothing may
+    # expand the term's 2^28 supergraphs on the way
+    term = LinComb.from_graph(Graph(2, 8))
+    assert operator_apply(blowup_scheme(1).operator(), term) == term
+
+
 def test_operator_validates_input():
-    op = box_scheme().operator(attach=False)
+    op = box_scheme().operator()
     with pytest.raises(InputError):
         operator_apply(op, nind(complete_graph(3, 3)))  # wrong uniformity
     with pytest.raises(InputError):
         operator_apply(op, point(2, 0, {0, 1}))  # wrong label set
-    with pytest.raises(InputError):
-        operator_apply(op, nind(complete_graph(2, 2)), method="sideways")
-
-
-def test_closed_form_routes_and_agrees():
-    scheme = box_scheme()
-    attached = scheme.operator()
-    plain = scheme.operator(attach=False)
-    f = nind(complete_graph(2, 2))
-    via_closed = operator_apply(attached, f, method="closed")
-    via_enum = operator_apply(plain, f, method="enumerate")
-    via_auto = operator_apply(attached, f)
-    assert alg_equal(via_closed, via_enum)
-    assert via_auto == via_closed
-    # closed form demands nind shape / an attached scheme
-    with pytest.raises(InputError):
-        operator_apply(attached, LinComb.from_graph(path_graph(2)), method="closed")
-    with pytest.raises(InputError):
-        operator_apply(plain, f, method="closed")
 
 
 def test_operator_point_preimage_counts_completions():
@@ -411,8 +398,8 @@ def test_operator_point_preimage_counts_completions():
     # completions map back to the point
     from hypalg import blowup_scheme
 
-    op = blowup_scheme(2).operator(attach=False)
-    got = operator_apply(op, point(2, 0), method="enumerate")
+    op = blowup_scheme(2).operator()
+    got = operator_apply(op, point(2, 0))
     assert got.coefficient(Graph(2, 2)) == 1
     assert got.coefficient(complete_graph(2, 2)) == 1
     assert len(got.coeffs) == 2
@@ -446,18 +433,18 @@ _PT = Graph(2, 1)
 # and eta([n]) has at most 6 elements, or 4 with two input labels, which
 # multiply the graphs to enumerate by 2^|eta([n])|
 _BRUTE_CASES = {
-    "blowup:1": (blowup_scheme(1).operator(attach=False), [_K3, _I3, _P2, _PT]),
-    "blowup:2": (blowup_scheme(2).operator(attach=False), [_K3, _K2, _PT]),
-    "copies:2": (copies_scheme(2).operator(attach=False), [_K2, _I2]),
-    "copies:3": (copies_scheme(3).operator(attach=False), [_PT]),
-    "path:2": (path_scheme(2).operator(attach=False), [_K2, _I2]),
-    "triangle": (triangle_scheme().operator(attach=False), [_K2, _I2]),
-    "box": (box_scheme().operator(attach=False), [_K2, _I2, _PT]),
-    "crossing": (crossing_scheme().operator(attach=False), [_K2]),
-    "loose:3": (loose_scheme(3).operator(attach=False), [_K2, _I2]),
-    "even:4": (even_scheme(4).operator(attach=False), [_K2, _I2]),
+    "blowup:1": (blowup_scheme(1).operator(), [_K3, _I3, _P2, _PT]),
+    "blowup:2": (blowup_scheme(2).operator(), [_K3, _K2, _PT]),
+    "copies:2": (copies_scheme(2).operator(), [_K2, _I2]),
+    "copies:3": (copies_scheme(3).operator(), [_PT]),
+    "path:2": (path_scheme(2).operator(), [_K2, _I2]),
+    "triangle": (triangle_scheme().operator(), [_K2, _I2]),
+    "box": (box_scheme().operator(), [_K2, _I2, _PT]),
+    "crossing": (crossing_scheme().operator(), [_K2]),
+    "loose:3": (loose_scheme(3).operator(), [_K2, _I2]),
+    "even:4": (even_scheme(4).operator(), [_K2, _I2]),
     "box/dump": (
-        box_scheme().operator(labeled=True, attach=False),
+        box_scheme().operator(labeled=True),
         [
             Graph(2, 3, (1, 1, 1), _K3.edges),
             Graph(2, 2, (0, 1), ((0, 1),)),
@@ -466,7 +453,7 @@ _BRUTE_CASES = {
         ],
     ),
     "crossing/dump": (
-        crossing_scheme().operator(labeled=True, attach=False),
+        crossing_scheme().operator(labeled=True),
         [Graph(2, 2, (0, 1), ((0, 1),)), Graph(2, 2, (1, 1))],
     ),
     "two rules": (
@@ -485,7 +472,7 @@ def test_operator_matches_brute_force(case):
     op, terms = _BRUTE_CASES[case]
     for term in terms:
         f = LinComb.from_graph(term, op.tau.base_labels)
-        got = operator_apply(op, f, method="enumerate")
+        got = operator_apply(op, f)
         by_class = {reference_canonical(h)[0]: c for h, c in got.coeffs.items()}
         assert len(by_class) == len(got.coeffs)
         assert by_class == brute_operator_apply(op, f), (case, term)
@@ -521,7 +508,7 @@ def test_trusted_values_are_in_normal_form():
         op, terms = _BRUTE_CASES[case]
         for term in terms:
             f = LinComb.from_graph(term, op.tau.base_labels)
-            keys += operator_apply(op, f, method="enumerate").coeffs
+            keys += operator_apply(op, f).coeffs
     keys += islice(graphs._CANON_CACHE, start, None)
     for g in keys:
         public = Graph(g.r, g.n, g.labels, g.edges)
@@ -550,8 +537,8 @@ def test_operator_canonicalises_one_completion_per_orbit(
         return canonical(h)
 
     monkeypatch.setattr(functors, "canonical", counting)
-    op = scheme.operator(attach=False)
-    operator_apply(op, nind(term), method="enumerate")
+    op = scheme.operator()
+    operator_apply(op, nind(term))
     assert len(calls) <= bound
 
 
@@ -562,8 +549,8 @@ def test_multiplicativity_and_const_counterexample():
     tau = UpwardTransformation(eta, 2, 2, Graph(2, 3, None, ((0, 2), (1, 2))))
     op = Operator(tau)
     k2 = LinComb.from_graph(complete_graph(2, 2))
-    assert operator_apply(op, k2, method="enumerate") == nind(path_graph(2))
+    assert operator_apply(op, k2) == nind(path_graph(2))
     assert check_multiplicative(op, k2, point(2, 0))
     assert not check_multiplicative(op, k2, k2)
     # constant-free schemes are multiplicative
-    assert check_multiplicative(box_scheme().operator(attach=False), k2, point(2, 0))
+    assert check_multiplicative(box_scheme().operator(), k2, point(2, 0))

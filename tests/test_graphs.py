@@ -10,6 +10,10 @@ from hypalg import (
     Graph,
     Injection,
     InputError,
+    LabeledLift,
+    LinComb,
+    SubsetsF,
+    UpwardTransformation,
     automorphism_count,
     canonical,
     complement,
@@ -20,10 +24,15 @@ from hypalg import (
     empty_graph,
     graph_from_text,
     graph_to_text,
+    check_symmetry,
+    extend_label_set,
     induced_subgraph,
     is_isomorphic,
+    lift_labels,
+    nind,
     path_graph,
     single_vertex,
+    unit,
 )
 from oracles import brute_canonical, reference_canonical
 
@@ -69,6 +78,58 @@ def test_construction_rejects(args, message):
     with pytest.raises(InputError) as info:
         Graph(*args)
     assert str(info.value) == message
+
+
+def _edge_rule(**fields):
+    return UpwardTransformation(SubsetsF(1), 2, 2, complete_graph(2, 2), **fields)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LinComb(2, (0.5, 1.7)), "label set must be ints, got (0.5, 1.7)"),
+        (
+            lambda: extend_label_set(unit(2), (0, 1.5)),
+            "label set must be ints, got (0, 1.5)",
+        ),
+        (lambda: Injection(2, 3, (0.9, 1.5)), "image must be ints, got (0.9, 1.5)"),
+        (lambda: _edge_rule(labels=(0, 0.5)), "labels must be ints, got (0, 0.5)"),
+        (
+            lambda: _edge_rule(base_labels=(0, "1")),
+            "output labels must be ints, got (0, '1')",
+        ),
+        (
+            lambda: _edge_rule(base_labels={0, 1}, default_label=1.0),
+            "default label must be ints, got (1.0,)",
+        ),
+        (
+            lambda: _edge_rule(base_labels={0, 1}, vertex_rules=((0.5, Graph(2, 1)),)),
+            "vertex rule labels must be ints, got (0.5,)",
+        ),
+        (
+            lambda: lift_labels(nind(complete_graph(2, 2)), 1.5),
+            "labels must be ints, got (1.5,)",
+        ),
+        (
+            lambda: LabeledLift.of(nind(complete_graph(2, 2)), Fraction(1)),
+            "labels must be ints, got (Fraction(1, 1),)",
+        ),
+        (
+            lambda: check_symmetry(complete_graph(2, 2), [(0.5,), (1.2,)]),
+            "vertices must be ints, got (0.5,)",
+        ),
+    ],
+)
+def test_entry_points_reject_non_int_labels_and_vertices(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_entry_points_accept_bools_as_ints():
+    assert LinComb(2, (False, True)).label_set == frozenset({0, 1})
+    assert Injection(1, 2, (True,)).image == (1,)
+    assert _edge_rule(labels=(0, True)).labels == frozenset({0, 1})
 
 
 def test_injection_basics():

@@ -215,6 +215,32 @@ def test_verify_gensubdivision_refuses_before_swap_enumeration(monkeypatch):
         verify_gensubdivision(blowup_scheme(4), K2)
 
 
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_gensubdivision(path_scheme(2), K2),
+        lambda: verify_box(K2),
+        lambda: verify_hypergraph(K2, 3, 1),
+    ],
+    ids=["gensub", "box", "hyper"],
+)
+def test_swap_step_fails_on_a_wrong_image(monkeypatch, verify):
+    from hypalg import harness, operator_apply
+
+    def spurious(op, f):
+        image = operator_apply(op, f)
+        return image + LinComb.from_graph(Graph(image.r, 1), image.label_set)
+
+    monkeypatch.setattr(harness, "operator_apply", spurious)
+    report = verify()
+    swaps = [s for s in report.steps if "preimage sum" in s.description]
+    assert swaps
+    for step in swaps:
+        assert not step.passed
+        assert step.witness.startswith("difference at order")
+    assert not report.verdict
+
+
 def test_verify_gensubdivision_preconditions():
     from hypalg import box_scheme
 
