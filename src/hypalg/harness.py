@@ -232,9 +232,9 @@ def verify_tensor_power(g: Graph, s: int, budget: int = 1 << 20) -> TheoremRepor
     t0 = time.perf_counter()
     report = TheoremReport(f"tensor-power-s{s}")
     scheme = copies_scheme(s)
-    lhs = operator_apply(scheme.operator(budget=budget), nind(g))
-    rhs = unit(2)
     base = nind(g)
+    lhs = operator_apply(scheme.operator(budget=budget), base)
+    rhs = unit(2)
     for _ in range(s):
         rhs = product(rhs, base)
     _exact_step(

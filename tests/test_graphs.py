@@ -226,8 +226,11 @@ def _random_graph(rng, r, n, label_count=1):
 
 
 def test_canonical_matches_reference_search():
-    # the integer-segment search returns exactly the representative and
-    # automorphism count of the original tuple-segment search
+    # the (label, degree)-partitioned, present-first search picks other
+    # representatives than the original tuple-segment search, but the same
+    # classes: one representative per reference class and back, each in
+    # its own class, fixed by `canonical`, with sorted labels and the
+    # reference automorphism count
     graphs = []
     for r in (2, 3):
         for n in range(6):
@@ -238,8 +241,66 @@ def test_canonical_matches_reference_search():
     rng = random.Random(20412)
     graphs += [_random_graph(rng, 2, rng.choice((6, 7)), 3) for _ in range(150)]
     graphs += [_random_graph(rng, r, 6, 2) for r in (3, 4, 5) for _ in range(30)]
+    to_ref: dict = {}
+    from_ref: dict = {}
     for g in graphs:
-        assert canonical(g) == reference_canonical(g), g
+        rep, aut = canonical(g)
+        ref, ref_aut = reference_canonical(g)
+        assert aut == ref_aut, g
+        assert to_ref.setdefault(rep, ref) == ref, g
+        assert from_ref.setdefault(ref, rep) == rep, g
+        assert reference_canonical(rep)[0] == ref, g
+        assert canonical(rep) == (rep, aut), g
+        assert list(rep.labels) == sorted(rep.labels), g
+
+
+def test_canonical_sparse_symmetric_graphs():
+    # the search tree of sparse symmetric graphs stays small: C18 took half
+    # a minute under a label-only partition with absent-first segments
+    for k in range(3, 19):
+        assert canonical(cycle_graph(k))[1] == 2 * k
+
+
+def _relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel_vertices(tuple(perm))
+
+
+def _disjoint_union(g, h):
+    shifted = tuple(tuple(v + g.n for v in e) for e in h.edges)
+    return Graph(g.r, g.n + h.n, g.labels + h.labels, g.edges + shifted)
+
+
+def test_canonical_agrees_with_pairwise_isomorphism():
+    # differential against `is_isomorphic` up to 18 vertices, where the
+    # brute-force oracles cannot reach: equal representatives exactly for
+    # isomorphic pairs
+    rng = random.Random(90218)
+    graphs = [cycle_graph(k) for k in range(3, 19)]
+    graphs += [path_graph(k) for k in range(1, 18)]
+    graphs += [
+        _disjoint_union(cycle_graph(a), cycle_graph(b))
+        for a in range(3, 10)
+        for b in range(a, 16 - a)
+    ]
+    graphs += [complete_bipartite(a, b) for a, b in ((1, 4), (2, 3), (2, 4), (3, 3), (3, 4))]
+    graphs += [_random_graph(rng, 2, rng.randrange(7, 19), 2) for _ in range(40)]
+    graphs += [_random_graph(rng, 3, rng.randrange(6, 10)) for _ in range(10)]
+    for g in graphs:
+        h = _relabeled(rng, g)
+        assert is_isomorphic(g, h)
+        assert canonical(g) == canonical(h), g
+        # one edge moved to a non-edge: same size, often another class
+        gaps = [e for e in combinations(range(g.n), g.r) if e not in g.edge_set]
+        if g.edges and gaps:
+            edges = list(g.edges)
+            edges[rng.randrange(len(edges))] = rng.choice(gaps)
+            h = _relabeled(rng, Graph(g.r, g.n, g.labels, tuple(edges)))
+            assert is_isomorphic(g, h) == (canonical(g)[0] == canonical(h)[0]), (g, h)
+    for g, h in combinations(graphs, 2):
+        if (g.r, g.n, g.e) == (h.r, h.n, h.e):
+            assert is_isomorphic(g, h) == (canonical(g)[0] == canonical(h)[0]), (g, h)
 
 
 def test_canonical_respects_labels():
