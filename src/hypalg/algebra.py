@@ -55,6 +55,13 @@ def _as_fraction(x, what: str = "coefficients") -> Fraction:
     raise InputError(f"{what} must be exact rationals, got {type(x).__name__}")
 
 
+def _probability(p) -> Fraction:
+    p = _as_fraction(p, "sample points")
+    if p < 0 or p > 1:
+        raise InputError(f"p must lie in [0, 1], got {p}")
+    return p
+
+
 def _add(out: dict, key, c: Fraction) -> None:
     """Add c to out[key], dropping the key when the sum is zero."""
     c += out.get(key, 0)
@@ -75,6 +82,7 @@ class LinComb:
     __slots__ = ("r", "label_set", "coeffs")
 
     def __init__(self, r: int, label_set=frozenset({0}), coeffs=None):
+        (r,) = _ints((r,), "uniformity")
         if r < 1:
             raise InputError(f"uniformity must be >= 1, got {r}")
         label_set = frozenset(_ints(label_set, "label set"))
@@ -362,9 +370,7 @@ def eval_quasirandom(f, p) -> Fraction:
     arithmetic; p must be a Fraction or int in [0, 1].
     """
     f = _coerce(f)
-    p = _as_fraction(p, "sample points")
-    if p < 0 or p > 1:
-        raise InputError(f"p must lie in [0, 1], got {p}")
+    p = _probability(p)
     u = Fraction(1, len(f.label_set))
     total = Fraction(0)
     for g, c in f.coeffs.items():

@@ -36,8 +36,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product as iter_product
+from operator import or_
 
 from .algebra import LinComb, _add
 from .errors import InputError, ResourceError
@@ -132,37 +133,40 @@ def functor_size(eta, n: int) -> int:
     return len(apply_functor_set(eta, n))
 
 
-def _map_element(eta, alpha: Injection, x):
+def _map_element(eta, image: tuple, x):
     if isinstance(eta, SubsetsF):
-        return tuple(sorted(alpha(i) for i in x))
+        return tuple(sorted(image[i] for i in x))
     if isinstance(eta, ConstF):
         return x
     if isinstance(eta, UnionF):
         side = eta.left if x[0] == 0 else eta.right
-        return (x[0], _map_element(side, alpha, x[1]))
+        return (x[0], _map_element(side, image, x[1]))
     if isinstance(eta, ProductF):
-        return (_map_element(eta.left, alpha, x[0]), _map_element(eta.right, alpha, x[1]))
+        return (_map_element(eta.left, image, x[0]), _map_element(eta.right, image, x[1]))
     raise InputError(f"not a downward functor: {eta!r}")
 
 
-@lru_cache(maxsize=None)
-def _position_index(eta, n: int) -> dict:
-    return {el: i for i, el in enumerate(apply_functor_set(eta, n))}
+def _positions(eta, n: int, image: tuple) -> tuple:
+    """The positions in eta([n]) of eta(alpha), for alpha: i -> image[i]."""
+    index = {el: i for i, el in enumerate(apply_functor_set(eta, n))}
+    src = apply_functor_set(eta, len(image))
+    return tuple(index[_map_element(eta, image, x)] for x in src)
+
+
+# for increasing maps only (r-sets and single vertices); a term's
+# automorphisms go through `_positions` uncached, as there can be n! of them
+_eta_image = lru_cache(maxsize=None)(_positions)
 
 
 def apply_functor_injection(eta, alpha: Injection) -> Injection:
     """eta(alpha): the induced injection eta([m]) -> eta([n])."""
-    src = apply_functor_set(eta, alpha.source_n)
-    tgt_pos = _position_index(eta, alpha.target_n)
-    image = tuple(tgt_pos[_map_element(eta, alpha, x)] for x in src)
-    return Injection(len(src), functor_size(eta, alpha.target_n), image)
+    image = _positions(eta, alpha.target_n, alpha.image)
+    return Injection(len(image), functor_size(eta, alpha.target_n), image)
 
 
-@lru_cache(maxsize=None)
-def _eta_image(eta, n: int, sub: tuple) -> tuple:
-    """Image positions of eta(beta) for beta the increasing map with image sub."""
-    beta = Injection(len(sub), n, sub)
-    return apply_functor_injection(eta, beta).image
+def _moved(pos: tuple, edges) -> list:
+    """Each r-set in `edges` moved by the vertex map `pos`, sorted."""
+    return [tuple(sorted(pos[v] for v in e)) for e in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ class UpwardTransformation:
         object.__setattr__(self, "vertex_rules", tuple(self.vertex_rules))
         _ints(tuple(lab for lab, _ in self.vertex_rules), "vertex rule labels")
         _ints((self.default_label,), "default label")
-        if self.r < 1 or self.base_r < 1:
+        if min(_ints((self.r, self.base_r), "uniformities")) < 1:
             raise InputError("uniformities must be >= 1")
         n_rule = functor_size(self.eta, self.base_r)
         if self.edge_template.r != self.r or self.edge_template.n != n_rule:
@@ -258,11 +262,8 @@ class UpwardTransformation:
         swap = (1, 0) + tuple(range(2, k))
         cycle = tuple(range(1, k)) + (0,)
         for sigma in dict.fromkeys((swap, cycle)):
-            pos = apply_functor_injection(self.eta, Injection(k, k, sigma)).image
-            if any(
-                tuple(sorted(pos[v] for v in te)) not in template
-                for te in self.edge_template.edges
-            ):
+            pos = _positions(self.eta, k, sigma)
+            if not template.issuperset(_moved(pos, self.edge_template.edges)):
                 raise InputError(
                     "rules are not permutation-invariant on graphs over "
                     f"eta([{k}]); transformation is ill-defined "
@@ -271,19 +272,13 @@ class UpwardTransformation:
 
 
 def _infer_order(eta, n_vertices: int, base_r: int) -> int:
-    matches = []
-    k = 0
     limit = n_vertices + base_r + 2
-    while k <= limit:
-        size = functor_size(eta, k)
-        if size == n_vertices:
-            matches.append(k)
-            if len(matches) > 1:
-                raise InputError(
-                    f"vertex count {n_vertices} matches eta([k]) for several k "
-                    f"({matches[0]}, {matches[1]}, ...); pass n explicitly"
-                )
-        k += 1
+    matches = [k for k in range(limit + 1) if functor_size(eta, k) == n_vertices]
+    if len(matches) > 1:
+        raise InputError(
+            f"vertex count {n_vertices} matches eta([k]) for several k "
+            f"({matches[0]}, {matches[1]}, ...); pass n explicitly"
+        )
     if not matches:
         raise InputError(
             f"vertex count {n_vertices} is not the size of eta([n]) for any n"
@@ -308,27 +303,23 @@ def tau_apply(tau: UpwardTransformation, h: Graph, n: int = None) -> Graph:
             f"graph on {h.n} vertices is not a graph on eta([{n}]) "
             f"(which has {functor_size(tau.eta, n)} elements)"
         )
-    edges = []
-    for e in combinations(range(n), tau.base_r):
-        pos = _eta_image(tau.eta, n, e)
-        if all(
-            tuple(sorted(pos[v] for v in te)) in h.edge_set
-            for te in tau.edge_template.edges
-        ):
-            edges.append(e)
-    labels = tuple(_vertex_label(tau, n, h, v) for v in range(n))
-    return Graph(tau.base_r, n, labels, tuple(edges))
+    template = tau.edge_template.edges
+    edges = tuple(
+        e
+        for e in combinations(range(n), tau.base_r)
+        if h.edge_set.issuperset(_moved(_eta_image(tau.eta, n, e), template))
+    )
+    labels = tuple(_vertex_label(tau, n, h.edge_set, v) for v in range(n))
+    return Graph(tau.base_r, n, labels, edges)
 
 
-def _vertex_label(tau: UpwardTransformation, n: int, h: Graph, v: int) -> int:
-    """The label tau gives vertex v of [n] on h: the first vertex rule whose
-    template h contains on eta({v}), else the default label."""
+def _vertex_label(tau: UpwardTransformation, n: int, edge_set, v: int) -> int:
+    """The label tau gives vertex v of [n] on the graph on eta([n]) with edge
+    set `edge_set`: the first rule whose template it has on eta({v}), else the
+    default label."""
     pos = _eta_image(tau.eta, n, (v,))
     for rule_lab, tmpl in tau.vertex_rules:
-        if all(
-            tuple(sorted(pos[x] for x in te)) in h.edge_set
-            for te in tmpl.edges
-        ):
+        if all(e in edge_set for e in _moved(pos, tmpl.edges)):
             return rule_lab
     return tau.default_label
 
@@ -345,7 +336,7 @@ class Operator:
     budget: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
+        if _ints((self.budget,), "budget")[0] < 1:
             raise InputError(f"budget must be >= 1, got {self.budget}")
 
 
@@ -353,11 +344,15 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     """Add coeff times the class of every graph H on eta([n]) with
     tau(H) = g to `out`, where n = v(g).
 
+    Slots are the r-sets of eta([n]) in lexicographic order, and every set of
+    slots, groups and edge sets included, is an int mask over their indices.
     A completion is an edge set E with a labelling of eta([n]). E holds the
-    slots g forces on and undecided slots chosen so that each of g's non-edges
+    slots g forces on and undecided slots picked so that each of g's non-edges
     and labels keeps a slot of its group off; a group's only unforced slot is
     decided off. A depth-first search enumerates the edge sets. The budget,
-    checked first, bounds 2^(undecided slots) times the labellings.
+    checked first, bounds 2^(undecided slots) times the labellings. Vertex
+    rules that are not folded into the groups are checked once per edge set,
+    not per labelling, since rules never read labels.
 
     Only one edge set per Aut(g)-orbit is canonicalised. tau is natural, so
     each automorphism sigma of g, acting through eta(sigma), maps the forced
@@ -375,53 +370,52 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     n = g.n
     w = functor_size(tau.eta, n)
     all_slots = list(combinations(range(w), tau.r))
-    slot_id = {s: i for i, s in enumerate(all_slots)}
+    slot_bit = {s: 1 << i for i, s in enumerate(all_slots)}
 
-    def template_slots(sub: tuple, template: Graph) -> list[int]:
+    def template_slots(sub: tuple, template: Graph) -> int:
+        # eta of an injection is one-to-one, so the moved edges' bits differ
         pos = _eta_image(tau.eta, n, sub)
-        return [slot_id[tuple(sorted(pos[v] for v in te))] for te in template.edges]
+        return sum(slot_bit[s] for s in _moved(pos, template.edges))
 
-    forced: set[int] = set()
-    groups: list[set[int]] = []  # each: at least one slot must stay off
-    postcheck: list[int] = []  # vertices needing label check per completion
+    forced = 0
+    groups: list[int] = []  # each: at least one slot must stay off
+    postcheck: list[int] = []  # vertices needing a label check per edge set
 
     for e in combinations(range(n), tau.base_r):
         slots = template_slots(e, tau.edge_template)
         if e in g.edge_set:
-            forced.update(slots)
+            forced |= slots
         else:
-            groups.append(set(slots))
+            groups.append(slots)
 
+    default_only = all(lab == tau.default_label for lab, _ in tau.vertex_rules)
     for v in range(n):
-        if not tau.vertex_rules:
+        if default_only:
             if g.labels[v] != tau.default_label:
                 return
         elif len(tau.vertex_rules) == 1:
             lab0, tmpl = tau.vertex_rules[0]
             slots = template_slots((v,), tmpl)
-            if lab0 == tau.default_label:
-                if g.labels[v] != lab0:
-                    return
-            elif g.labels[v] == lab0:
-                forced.update(slots)
+            if g.labels[v] == lab0:
+                forced |= slots
             elif g.labels[v] == tau.default_label:
-                groups.append(set(slots))
+                groups.append(slots)
             else:
                 return
         else:
             postcheck.append(v)
 
-    groups = [grp - forced for grp in groups]
+    groups = [grp & ~forced for grp in groups]
     if not all(groups):
         return  # a group's slots are all forced on; no completion satisfies it
     # a group's only unforced slot stays off, satisfying every group holding it
-    off = {i for grp in groups if len(grp) == 1 for i in grp}
+    off = reduce(or_, (grp for grp in groups if grp.bit_count() == 1), 0)
     cleaned = [grp for grp in groups if not grp & off]
 
-    free = [i for i in range(len(all_slots)) if i not in forced and i not in off]
+    free = [i for i in range(len(all_slots)) if not (forced | off) >> i & 1]
     # slots under a not-all-on constraint first, so pruning bites early
-    grouped = {i for grp in cleaned for i in grp}
-    dfs_order = sorted(free, key=lambda i: i not in grouped)
+    grouped = reduce(or_, cleaned, 0)
+    dfs_order = sorted(free, key=lambda i: not grouped >> i & 1)
 
     labelings = sorted(tau.labels)
     k = len(dfs_order)
@@ -439,65 +433,45 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     # With no free slot, the one edge set is its own orbit: skip the search.
     actions = [()]
     if dfs_order:
+        moving = [all_slots[i] for i in dfs_order]
         actions = [
-            tuple(
-                1 << slot_id[tuple(sorted(pos[v] for v in all_slots[i]))]
-                for i in dfs_order
-            )
-            for pos in (
-                apply_functor_injection(tau.eta, Injection(n, n, sigma)).image
-                for sigma in _maps(g, g)
-            )
+            tuple(slot_bit[s] for s in _moved(_positions(tau.eta, n, sigma), moving))
+            for sigma in _maps(g, g)
         ]
     column = list(zip(*actions))
-
-    group_size = [len(grp) for grp in cleaned]
-    member = {i: [] for i in dfs_order}
-    for gi, grp in enumerate(cleaned):
-        for i in grp:
-            member[i].append(gi)
-    on_count = [0] * len(cleaned)
-    chosen: list[int] = []
+    member = {i: [grp for grp in cleaned if grp >> i & 1] for i in dfs_order}
 
     def emit(mask: int, images: list[int]) -> None:
-        # keep the completion only if its mask is the least in its orbit,
+        # keep the edge set only if its mask is the least in its orbit,
         # counting its stabiliser on the way
         stab = 0
         for image in images:
             if image < mask:
                 return
             stab += image == mask
+        on = forced | mask
+        # slot ids follow the lexicographic order: the edges are in normal form
+        edges = tuple([s for i, s in enumerate(all_slots) if on >> i & 1])
+        if postcheck and any(
+            _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
+        ):
+            return
         weight = coeff * (len(actions) // stab)
-        edges = tuple(all_slots[i] for i in sorted([*forced, *chosen]))
         for labs in iter_product(labelings, repeat=w):
-            h = Graph._trusted(tau.r, w, labs, edges)
-            if postcheck and any(
-                _vertex_label(tau, n, h, v) != g.labels[v] for v in postcheck
-            ):
-                continue
-            _add(out, canonical(h)[0], weight)
+            _add(out, canonical(Graph._trusted(tau.r, w, labs, edges))[0], weight)
 
     def dfs(idx: int, mask: int, images: list[int]) -> None:
-        # mask: the chosen slots as bits; images: its image under each sigma
+        # mask: the slots turned on; images: its image under each sigma
         if idx == len(dfs_order):
             emit(mask, images)
             return
         slot = dfs_order[idx]
         # slot off: every group it belongs to is satisfied for good
         dfs(idx + 1, mask, images)
-        # slot on
-        ok = True
-        for gi in member[slot]:
-            on_count[gi] += 1
-            if on_count[gi] == group_size[gi]:
-                ok = False
-        if ok:
-            chosen.append(slot)
-            moved = [a + b for a, b in zip(images, column[idx])]
-            dfs(idx + 1, mask | 1 << slot, moved)
-            chosen.pop()
-        for gi in member[slot]:
-            on_count[gi] -= 1
+        # slot on, unless that turns all of one of its groups on
+        on = mask | 1 << slot
+        if all(on & grp != grp for grp in member[slot]):
+            dfs(idx + 1, on, [a + b for a, b in zip(images, column[idx])])
 
     dfs(0, 0, [0] * len(actions))
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .algebra import (
     LinComb,
     _as_fraction,
+    _probability,
     alg_equal,
     coeff_positive_at,
     eval_quasirandom,
@@ -52,9 +53,10 @@ from .constructions import (
     triangle_scheme,
 )
 from .errors import InputError, ResourceError
-from .functors import check_multiplicative, operator_apply
+from .functors import Operator, check_multiplicative, operator_apply
 from .graphs import (
     Graph,
+    _ints,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -178,7 +180,9 @@ def eval_nind_quasirandom(g: Graph, p: Fraction, u: int = 1) -> Fraction:
     p^e |U|^-n sum_j C(m, j) p^j (1-p)^(m-j) = p^e |U|^-n (p + 1 - p)^m
     = p^e |U|^-n (no enumeration of supergraph classes).
     """
-    p = _as_fraction(p, "sample points")
+    p = _probability(p)
+    if _ints((u,), "u")[0] < 1:
+        raise InputError(f"u must be >= 1, got {u}")
     return p ** len(g.edges) * Fraction(1, u) ** g.n
 
 
@@ -293,7 +297,7 @@ def verify_gensubdivision(
     # multiplicativity probe, first as the smallest enumeration: a single
     # edge times a point when that fits a small probe budget, otherwise two
     # points under the full budget, which refuses oversized gadgets early
-    probe_op = scheme.operator(budget=min(budget, 1 << 14))
+    probe_op = Operator(op.tau, min(budget, 1 << 14))
     probe_f = LinComb.from_graph(complete_graph(scheme.base_r, scheme.base_r))
     probe_g = point(scheme.base_r, 0)
     probe_desc = "single edge, single vertex"

@@ -464,6 +464,26 @@ _BRUTE_CASES = {
         Operator(_two_rule_transformation(frozenset({0}))),
         [Graph(2, 3, (1, 1, 1), _K3.edges)],
     ),
+    # both rules give the default label 2, so every vertex gets 2 whatever
+    # the edges are, and a term with label 1 has no preimage
+    "two default rules": (
+        Operator(
+            UpwardTransformation(
+                functor_from_text("x(sub(1),const(2))"),
+                2,
+                2,
+                Graph(2, 4, None, ((0, 2),)),
+                base_labels=frozenset({1, 2}),
+                vertex_rules=((2, _K2), (2, _I2)),
+                default_label=2,
+            )
+        ),
+        [
+            Graph(2, 2, (2, 2), ((0, 1),)),
+            Graph(2, 2, (1, 2), ((0, 1),)),
+            Graph(2, 1, (2,)),
+        ],
+    ),
 }
 
 

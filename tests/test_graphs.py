@@ -12,6 +12,7 @@ from hypalg import (
     InputError,
     LabeledLift,
     LinComb,
+    Operator,
     SubsetsF,
     UpwardTransformation,
     automorphism_count,
@@ -118,6 +119,16 @@ def _edge_rule(**fields):
             lambda: check_symmetry(complete_graph(2, 2), [(0.5,), (1.2,)]),
             "vertices must be ints, got (0.5,)",
         ),
+        (lambda: LinComb.zero(2.5), "uniformity must be ints, got (2.5,)"),
+        (lambda: LinComb.zero("2"), "uniformity must be ints, got ('2',)"),
+        (
+            lambda: UpwardTransformation(SubsetsF(1), 2.0, 2, complete_graph(2, 2)),
+            "uniformities must be ints, got (2.0, 2)",
+        ),
+        (
+            lambda: Operator(_edge_rule(), budget=2.5),
+            "budget must be ints, got (2.5,)",
+        ),
     ],
 )
 def test_entry_points_reject_non_int_labels_and_vertices(call, message):
@@ -130,6 +141,8 @@ def test_entry_points_accept_bools_as_ints():
     assert LinComb(2, (False, True)).label_set == frozenset({0, 1})
     assert Injection(1, 2, (True,)).image == (1,)
     assert _edge_rule(labels=(0, True)).labels == frozenset({0, 1})
+    assert LinComb.zero(True).r == 1
+    assert Operator(_edge_rule(), budget=True).budget
 
 
 def test_injection_basics():

@@ -90,10 +90,26 @@ def test_eval_nind_quasirandom_host_scaling():
     assert eval_nind_quasirandom(K2, p, u=2) == p * Fraction(1, 4)
 
 
-@pytest.mark.parametrize("p", [0.1, 0.5, "1/2"])
-def test_eval_nind_quasirandom_rejects_inexact_p(p):
-    with pytest.raises(InputError):
-        eval_nind_quasirandom(K2, p)
+@pytest.mark.parametrize(
+    "p, u, message",
+    [
+        (0.1, 1, "sample points must be exact rationals, got float"),
+        (0.5, 1, "sample points must be exact rationals, got float"),
+        ("1/2", 1, "sample points must be exact rationals, got str"),
+        # p outside [0, 1], which eval_quasirandom rejects too, and a u that
+        # is not a label count
+        (2, 1, "p must lie in [0, 1], got 2"),
+        (Fraction(-1, 2), 1, "p must lie in [0, 1], got -1/2"),
+        (Fraction(1, 2), 0, "u must be >= 1, got 0"),
+        (Fraction(1, 2), -1, "u must be >= 1, got -1"),
+        (Fraction(1, 2), 1.5, "u must be ints, got (1.5,)"),
+    ],
+    ids=["0.1", "0.5", "1/2", "p=2", "p=-1/2", "u=0", "u=-1", "u=1.5"],
+)
+def test_eval_nind_quasirandom_rejects_inexact_p(p, u, message):
+    with pytest.raises(InputError) as info:
+        eval_nind_quasirandom(K2, p, u)
+    assert str(info.value) == message
     assert eval_nind_quasirandom(K2, 1) == 1
 
 
