@@ -254,6 +254,11 @@ def test_swap_step_fails_on_a_wrong_image(monkeypatch, verify):
     for step in swaps:
         assert not step.passed
         assert step.witness.startswith("difference at order")
+    evals = [s for s in report.steps if s.kind == "evaluation-inequality"]
+    assert evals
+    for step in evals:
+        assert not step.passed
+        assert step.witness.startswith("image breaks at p=")
     assert not report.verdict
 
 
@@ -262,7 +267,7 @@ def test_verify_gensubdivision_preconditions():
 
     with pytest.raises(InputError):
         verify_gensubdivision(box_scheme(), Graph(2, 1))  # isolated + edged gadget
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"p must lie in \[0, 1\], got 3/2"):
         verify_gensubdivision(path_scheme(2), K2, p_samples=(Fraction(3, 2),))
     with pytest.raises(InputError):
         verify_gensubdivision(path_scheme(2), Graph(2, 2, (0, 1), ((0, 1),)))
@@ -280,11 +285,11 @@ def test_verify_box():
 
 def test_verify_hypergraph_branches():
     loose = verify_hypergraph(K2, 3, 1)
-    assert loose.verdict and len(loose.steps) == 4
+    assert loose.verdict and len(loose.steps) == 3
     assert "loose" in loose.steps[0].description
 
     even = verify_hypergraph(K2, 4, 2)
-    assert even.verdict and len(even.steps) == 4
+    assert even.verdict and len(even.steps) == 3
     assert "even" in even.steps[0].description
 
     mixed = verify_hypergraph(path_graph(2), 5, 2)
@@ -306,8 +311,7 @@ def test_verify_goodman_lift():
 
 def test_verify_forcing_pair_operator():
     report = verify_forcing_pair_operator(2)
-    assert report.verdict and len(report.steps) == 4
-    assert report.steps[-1].witness == "assumed from cited literature; not checked here"
+    assert report.verdict and len(report.steps) == 3
     with pytest.raises(InputError):
         verify_forcing_pair_operator(1)
 
