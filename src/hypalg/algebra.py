@@ -194,6 +194,7 @@ class UniformRep:
     __slots__ = ("lincomb", "n")
 
     def __init__(self, lincomb: LinComb, n: int):
+        (n,) = _ints((n,), "order")
         if n < 0:
             raise InputError(f"order must be >= 0, got {n}")
         for g in lincomb.coeffs:
@@ -311,6 +312,7 @@ def lift(f, n: int) -> UniformRep:
     k is multiplied n - k times and classes merge after every step.
     """
     f = _coerce(f)
+    (n,) = _ints((n,), "order")
     if n < order(f):
         raise InputError(
             f"cannot lift to order {n}: a term already has order {order(f)}"
@@ -404,12 +406,7 @@ def lincomb_to_text(f: LinComb) -> str:
     parts: list[str] = []
     for g, c in f.terms():
         mag = -c if c < 0 else c
-        body = (
-            f"{mag.numerator}"
-            if mag.denominator == 1
-            else f"{mag.numerator}/{mag.denominator}"
-        )
-        term = f"{body}*{graph_to_text(g)}"
+        term = f"{mag}*{graph_to_text(g)}"
         if not parts:
             parts.append(f"-{term}" if c < 0 else term)
         else:

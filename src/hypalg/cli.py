@@ -11,6 +11,7 @@ name (`blowup:2`, `copies:3`, `path:2`, `box`, `crossing`, `triangle`,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -108,6 +109,8 @@ def _resolve_scheme(text: str):
 
 
 def _parse_p_list(text: str):
+    if not text:
+        return None
     try:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
@@ -115,10 +118,10 @@ def _parse_p_list(text: str):
 
 
 def _print_value(v: Fraction) -> None:
-    exact = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    print(f"{exact} ({float(v):.12f})")
+    print(f"{v} ({float(v):.12f})")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypalg",
@@ -158,55 +161,56 @@ def _build_parser() -> argparse.ArgumentParser:
     c_even.add_argument("r", type=int)
 
     p_verify = sub.add_parser("verify", help="run a verification report")
-    p_verify.add_argument(
-        "target",
-        choices=("tensor", "gensub", "box", "hyper", "goodman", "forcingpair", "m5"),
-    )
-    p_verify.add_argument("--graph", default=None, help="base graph literal/file")
-    p_verify.add_argument("--scheme", default=None, help="scheme name or file (gensub)")
-    p_verify.add_argument("--budget", type=int, default=1 << 20)
-    p_verify.add_argument("--p", default=None, help="comma-separated sample points")
-    p_verify.add_argument("--s", type=int, default=2, help="copy count (tensor)")
-    p_verify.add_argument("--r", type=int, default=3, help="target uniformity (hyper)")
-    p_verify.add_argument("--m", type=int, default=1, help="block size (hyper)")
-    p_verify.add_argument("--k", type=int, default=2, help="path length (forcingpair)")
-    p_verify.add_argument("--format", choices=("text", "machine"), default="text")
+    v_sub = p_verify.add_subparsers(dest="target", required=True)
+    # each target declares the options its report reads; no abbreviations,
+    # or gensub would read --s as its --scheme. Graphs, schemes and sample
+    # lists stay text until _run_verify, so bad values are input errors
+    names = ("tensor", "gensub", "box", "hyper", "goodman", "forcingpair", "m5")
+    targets = {name: v_sub.add_parser(name, allow_abbrev=False) for name in names}
+    graphs = {"tensor": K2_TEXT, "gensub": C4_TEXT, "box": K2_TEXT, "hyper": K2_TEXT}
+    for name, graph in graphs.items():
+        targets[name].add_argument("--graph", default=graph, help="graph literal/file")
+        targets[name].add_argument("--budget", type=int, default=1 << 20)
+    for name in ("gensub", "box", "hyper", "goodman"):
+        targets[name].add_argument("--p", help="comma-separated sample points")
+    targets["tensor"].add_argument("--s", type=int, default=2, help="copy count")
+    targets["gensub"].add_argument("--scheme", default="path:2", help="scheme name/file")
+    targets["hyper"].add_argument("--r", type=int, default=3, help="target uniformity")
+    targets["hyper"].add_argument("--m", type=int, default=1, help="block size")
+    targets["forcingpair"].add_argument("--k", type=int, default=2, help="path length")
+    for p_target in targets.values():
+        p_target.add_argument("--format", choices=("text", "machine"), default="text")
     return parser
 
 
 def _run_verify(args) -> int:
-    graph = _resolve_graph(args.graph) if args.graph else None
-    samples = _parse_p_list(args.p) if args.p else None
     if args.target == "tensor":
         report = verify_tensor_power(
-            graph if graph is not None else _resolve_graph(K2_TEXT),
-            args.s,
-            budget=args.budget,
+            _resolve_graph(args.graph), args.s, budget=args.budget
         )
     elif args.target == "gensub":
-        scheme = _resolve_scheme(args.scheme) if args.scheme else path_scheme(2)
         report = verify_gensubdivision(
-            scheme,
-            graph if graph is not None else _resolve_graph(C4_TEXT),
-            p_samples=samples,
+            _resolve_scheme(args.scheme),
+            _resolve_graph(args.graph),
+            p_samples=_parse_p_list(args.p),
             budget=args.budget,
         )
     elif args.target == "box":
         report = verify_box(
-            graph if graph is not None else _resolve_graph(K2_TEXT),
-            p_samples=samples,
+            _resolve_graph(args.graph),
+            p_samples=_parse_p_list(args.p),
             budget=args.budget,
         )
     elif args.target == "hyper":
         report = verify_hypergraph(
-            graph if graph is not None else _resolve_graph(K2_TEXT),
+            _resolve_graph(args.graph),
             args.r,
             args.m,
-            p_samples=samples,
+            p_samples=_parse_p_list(args.p),
             budget=args.budget,
         )
     elif args.target == "goodman":
-        report = verify_goodman_lift(p_samples=samples)
+        report = verify_goodman_lift(p_samples=_parse_p_list(args.p))
     elif args.target == "forcingpair":
         report = verify_forcing_pair_operator(args.k)
     else:

@@ -10,9 +10,9 @@ replaces each vertex of a base graph by an F_v copy and each edge by an F_e
 copy across its blocks with fresh private vertices.
 
 Every scheme also knows its upward transformation (the template rule whose
-operator sums tau-preimages) and `closed_form_nind`, the closed form of that
-operator on nind-shaped inputs. The harness compares the two; the closed form
-is an algebra-equal element, not necessarily the identical formal sum
+operator sums tau-preimages). On the supergraph sum of a base graph g that
+operator gives `nind(subdivide(scheme, g))`, which the harness checks. The
+two are algebra-equal elements, not necessarily the identical formal sum
 (preimage sums carry extra isolated private vertices for non-edges of the
 base graph).
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import LinComb, UniformRep, extend_label_set, nind, order
+from .algebra import LinComb, UniformRep, extend_label_set, order
 from .errors import InputError
 from .functors import (
     ConstF,
@@ -222,24 +222,6 @@ class SubdivisionScheme:
 
     def operator(self, budget: int = 1 << 20, labeled: bool = False) -> Operator:
         return Operator(self.transformation(labeled), budget)
-
-    def closed_form_nind(self, g0: Graph, labeled: bool, labels) -> LinComb:
-        """nind(subdivide(self, g0)) — what the operator sends nind(g0) to.
-
-        For the unlabeled rule this requires g0 to have no isolated vertices
-        whenever F_v has edges (otherwise the identity genuinely fails); the
-        labeled rule carries no such restriction.
-        """
-        if any(g0.labels):
-            raise InputError("closed form applies to all-zero-labeled inputs")
-        if not labeled and self.f_v.edges and 0 in g0.degrees:
-            raise InputError(
-                "closed form requires a base graph without isolated vertices "
-                "when the vertex gadget has edges"
-            )
-        return nind(
-            LinComb.from_graph(subdivide(self, g0), frozenset(labels))
-        )
 
 
 def subdivide(scheme: SubdivisionScheme, g: Graph) -> Graph:

@@ -26,9 +26,9 @@ for each term G, all graphs H on eta(V_G) with tau(H) = G. It always
 enumerates the completions of G (edge sets and labellings of eta(V_G)) but
 canonicalises only those of one edge set per orbit of Aut(G), weighted by
 the orbit size; `Operator.budget` bounds the completions enumerated, not
-those canonicalised. The closed form of a subdivision scheme's operator on
-nind-shaped inputs is `SubdivisionScheme.closed_form_nind`, which the
-harness checks against this enumeration.
+those canonicalised. On nind(g) a subdivision scheme's operator gives
+`nind(subdivide(scheme, g))`, which the harness checks against this
+enumeration.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ the rules through `tau_apply` and keys classes by `reference_canonical`.
 `LinComb` as input only for its terms and label set; they enumerate every
 labelled graph on [n] allowed by the definition and key classes by
 `brute_class`, the memoised `brute_canonical` representative.
+
+`burnside_class_count` counts classes from cycle types alone, so it reaches
+orders where the n! oracles above cannot.
 """
 
 import math
@@ -324,6 +327,42 @@ def all_graph_classes(r: int, n: int):
             seen.add(key)
             reps.append(key_graph)
     return reps
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most `largest`, parts falling."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def burnside_class_count(r: int, n: int, u: int = 1) -> int:
+    """The number of isomorphism classes of r-uniform graphs on n vertices
+    with labels from a set of u, by Burnside's lemma: the mean over Sym(n)
+    of u^c_1 2^c_r, where c_1 counts the cycles of a permutation on the
+    vertices and c_r those on the r-sets. The sum runs over cycle types,
+    each weighted by its number of permutations, so it needs no n! loop."""
+    total = Fraction(0)
+    for parts in _partitions(n, n):
+        sigma, start = [], 0
+        for k in parts:
+            sigma += [start + (i + 1) % k for i in range(k)]
+            start += k
+        image = {s: tuple(sorted(sigma[v] for v in s)) for s in combinations(range(n), r)}
+        seen, c_r = set(), 0
+        for s in image:
+            c_r += s not in seen
+            while s not in seen:
+                seen.add(s)
+                s = image[s]
+        centraliser = math.prod(
+            k ** parts.count(k) * math.factorial(parts.count(k)) for k in set(parts)
+        )
+        total += Fraction(u ** len(parts) * 2**c_r, centraliser)
+    assert total.denominator == 1
+    return int(total)
 
 
 def brute_well_defined(

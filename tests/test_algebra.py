@@ -1,6 +1,7 @@
 """The linear-combination algebra: product, supergraph sums, lifting,
 quotient equality, evaluation, text format."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypalg import (
     LinComb,
     UniformRep,
     alg_equal,
+    automorphism_count,
     coeff_positive_at,
     complete_graph,
     cycle_graph,
@@ -28,7 +30,7 @@ from hypalg import (
     product,
     unit,
 )
-from oracles import brute_class, brute_lift, brute_nind, brute_product
+from oracles import brute_class, brute_lift, brute_nind, brute_product, burnside_class_count
 from property_suites import run_alg_equal_one_order
 
 K2 = complete_graph(2, 2)
@@ -143,6 +145,17 @@ def test_lift_multi_label():
     # each one-vertex class extends over 2 labels x 2 edge choices
     assert sum(rep.lincomb.coeffs.values()) == 4
     assert order(rep.lincomb) == 2
+
+
+@pytest.mark.parametrize("r, n, u", [(2, 7, 1), (3, 6, 1), (2, 5, 2)])
+def test_unit_lift_counts_past_the_brute_force_reach(r, n, u):
+    # the unit lifted to order n has one term per class H, of coefficient
+    # n!/|Aut(H)|, the number of labelled graphs on [n] in that class
+    rep = lift(unit(r, frozenset(range(u))), n).lincomb
+    assert len(rep.coeffs) == burnside_class_count(r, n, u)
+    for h, c in rep.coeffs.items():
+        assert c == math.factorial(n) // automorphism_count(h)
+    assert sum(rep.coeffs.values()) == 2 ** math.comb(n, r) * u**n
 
 
 def _by_brute_class(f: LinComb) -> dict:

@@ -13,7 +13,7 @@ from hypalg import (
     scheme_to_text,
     subdivide,
 )
-from hypalg.cli import main
+from hypalg.cli import _build_parser, main
 
 K2_TEXT = "graph{r=2;n=2;l=;e=(0 1)}"
 P2_TEXT = "graph{r=2;n=3;l=;e=(0 1)(1 2)}"
@@ -149,3 +149,49 @@ def test_argparse_rejects_unknown_commands():
         main(["density", "weird", K2_TEXT, K2_TEXT])
     with pytest.raises(SystemExit):
         main(["verify", "nosuchtarget"])
+    with pytest.raises(SystemExit):
+        main(["verify", "--format", "machine", "m5"])  # options follow the target
+
+
+# each verify target and a value for every option it reads
+_TARGET_OPTIONS = {
+    "tensor": {"--graph": P2_TEXT, "--s": "2", "--budget": "4096"},
+    "gensub": {"--graph": K2_TEXT, "--scheme": "path:2", "--p": "1/2", "--budget": "4096"},
+    "box": {"--graph": K2_TEXT, "--p": "1/2", "--budget": "4096"},
+    "hyper": {"--graph": K2_TEXT, "--r": "3", "--m": "1", "--p": "1/2", "--budget": "4096"},
+    "goodman": {"--p": "1/3,2/5"},
+    "forcingpair": {"--k": "3"},
+    "m5": {},
+}
+_OPTION_VALUES = {
+    option: value for options in _TARGET_OPTIONS.values() for option, value in options.items()
+}
+
+
+@pytest.mark.parametrize("target", _TARGET_OPTIONS)
+def test_verify_target_runs_with_every_option_it_reads(target, capsys):
+    argv = ["verify", target, "--format", "machine"]
+    for option, value in _TARGET_OPTIONS[target].items():
+        argv += [option, value]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "target, option",
+    [
+        (target, option)
+        for target, options in _TARGET_OPTIONS.items()
+        for option in _OPTION_VALUES
+        if option not in options
+    ],
+)
+def test_verify_target_rejects_options_it_does_not_read(target, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", target, option, _OPTION_VALUES[option]])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()

@@ -313,30 +313,30 @@ _CATALOG = {
 _BASES = {"point": single_vertex(2), "K2": K2, "P2": path_graph(2)}
 
 
+def _swap_sides(scheme, labeled, g):
+    """The operator's enumerated image of nind(g), and nind of the
+    subdivided graph over the operator's labels."""
+    op = scheme.operator(labeled=labeled)
+    image = operator_apply(op, extend_label_set(nind(g), op.tau.base_labels))
+    return image, nind(LinComb.from_graph(subdivide(scheme, g), op.tau.labels))
+
+
 @pytest.mark.parametrize(
     "name, labeled, base",
     [(name, False, "K2") for name in _CATALOG]
     + [(name, False, "P2") for name in ("copies:2", "path:2", "box")]
     + [(name, True, base) for name in ("box", "crossing") for base in ("point", "K2")],
 )
-def test_closed_form_nind_matches_enumeration(name, labeled, base):
-    scheme, g = _CATALOG[name], _BASES[base]
-    op = scheme.operator(labeled=labeled)
-    f = extend_label_set(nind(g), op.tau.base_labels)
-    closed = scheme.closed_form_nind(g, labeled=labeled, labels=op.tau.labels)
-    assert alg_equal(operator_apply(op, f), closed)
+def test_swap_matches_nind_of_the_subdivided_graph(name, labeled, base):
+    assert alg_equal(*_swap_sides(_CATALOG[name], labeled, _BASES[base]))
 
 
-def test_closed_form_nind_unlabeled_requires_no_isolated_vertices():
-    scheme = box_scheme()
-    with pytest.raises(InputError):
-        scheme.closed_form_nind(single_vertex(2, 0), labeled=False, labels={0})
-    with pytest.raises(InputError):
-        scheme.closed_form_nind(Graph(2, 2, (0, 1), ((0, 1),)), True, {0})
-    # schemes whose vertex gadget is edgeless have no such restriction
-    loose = loose_scheme(3)
-    out = loose.closed_form_nind(Graph(2, 1), labeled=False, labels={0})
-    assert out == nind(LinComb.from_graph(Graph(3, 1)))
+def test_unlabeled_swap_fails_on_an_isolated_vertex_only_with_an_edged_vertex_gadget():
+    # no unlabeled rule reads an isolated vertex's block, so box's preimage
+    # sum holds that block with and without its vertex gadget's edge, while
+    # subdividing puts the edge in; loose:3's vertex gadget is edgeless
+    assert not alg_equal(*_swap_sides(_CATALOG["box"], False, _BASES["point"]))
+    assert alg_equal(*_swap_sides(_CATALOG["loose:3"], False, _BASES["point"]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypalg import (
     LinComb,
     Operator,
     SubsetsF,
+    UniformRep,
     UpwardTransformation,
     automorphism_count,
     canonical,
@@ -29,6 +30,7 @@ from hypalg import (
     extend_label_set,
     induced_subgraph,
     is_isomorphic,
+    lift,
     lift_labels,
     nind,
     path_graph,
@@ -129,6 +131,9 @@ def _edge_rule(**fields):
             lambda: Operator(_edge_rule(), budget=2.5),
             "budget must be ints, got (2.5,)",
         ),
+        (lambda: UniformRep(unit(2), 2.5), "order must be ints, got (2.5,)"),
+        (lambda: lift(unit(2), 2.5), "order must be ints, got (2.5,)"),
+        (lambda: lift(unit(2), "3"), "order must be ints, got ('3',)"),
     ],
 )
 def test_entry_points_reject_non_int_labels_and_vertices(call, message):
@@ -143,6 +148,7 @@ def test_entry_points_accept_bools_as_ints():
     assert _edge_rule(labels=(0, True)).labels == frozenset({0, 1})
     assert LinComb.zero(True).r == 1
     assert Operator(_edge_rule(), budget=True).budget
+    assert lift(unit(2), True).n == 1
 
 
 def test_injection_basics():

@@ -146,6 +146,11 @@ def test_bound_polynomial_basics():
         BoundPolynomial(((2, Fraction(1)), (2, Fraction(1))))
     with pytest.raises(InputError, match="exact rationals"):
         BoundPolynomial(((2, 0.5),))
+    with pytest.raises(InputError, match=r"^exponents must be ints, got \(2\.7,\)$"):
+        BoundPolynomial(((2.7, 1),))
+    with pytest.raises(InputError, match=r"^exponents must be ints, got \('3',\)$"):
+        BoundPolynomial((("3", 1),))
+    assert BoundPolynomial(((True, 1),)).coeffs == ((1, Fraction(1)),)
 
 
 def test_cited_polynomial_is_frozen():
@@ -260,6 +265,34 @@ def test_swap_step_fails_on_a_wrong_image(monkeypatch, verify):
         assert not step.passed
         assert step.witness.startswith("image breaks at p=")
     assert not report.verdict
+
+
+@pytest.mark.parametrize(
+    "verify, calls",
+    [
+        (lambda: verify_gensubdivision(path_scheme(2), K2), 1),
+        (lambda: verify_gensubdivision(path_scheme(2), cycle_graph(4), budget=1 << 10), 2),
+        (lambda: verify_box(K2), 1),
+        (lambda: verify_hypergraph(K2, 3, 1), 1),
+        (lambda: verify_hypergraph(path_graph(2), 3, 1), 2),
+    ],
+    ids=["gensub", "gensub-single-edge", "box", "hyper", "hyper-single-edge"],
+)
+def test_swap_step_reads_the_reports_own_subdivision(monkeypatch, verify, calls):
+    # one subdivision per swapped instance: the base graph, plus the single
+    # edge when the report falls back to it
+    from hypalg import constructions, harness
+
+    real, seen = constructions.subdivide, []
+
+    def counting(scheme, g):
+        seen.append(g)
+        return real(scheme, g)
+
+    monkeypatch.setattr(harness, "subdivide", counting)
+    monkeypatch.setattr(constructions, "subdivide", counting)
+    assert verify().verdict
+    assert len(seen) == calls
 
 
 def test_verify_gensubdivision_preconditions():
