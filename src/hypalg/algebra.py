@@ -6,9 +6,13 @@ a fixed uniformity r and finite label set U. The product of two classes
 sums over all graphs on the disjoint union of their vertex sets restricting
 to each factor, with every mixed r-set free; `nind` sums over supergraphs
 on the same vertices. Both are one kernel: fixed base edges plus any subset
-of free r-sets, summed by class. `lift` rewrites an element as a
-combination of classes of one fixed order by repeated product with the sum
-of all single-vertex classes, the identity of the quotient algebra.
+of free r-sets, summed by class. A product canonicalises one cross subset
+per orbit of Aut(F) x Aut(G), weighted by the orbit size, through the orbit
+search that the operator kernel shares (`_orbit_masks`); it keeps the plain
+loop over every subset for fewer than 6 cross r-sets or a trivial group.
+`lift` rewrites an element as a combination of classes of one fixed order
+by repeated product with the sum of all single-vertex classes, the identity
+of the quotient algebra.
 
 Equality in the quotient is decided by `alg_equal`, which compares the
 lifts of both sides at their largest term order. `eval_quasirandom`
@@ -26,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import Graph, _ints, canonical, graph_from_text, graph_to_text
+from .graphs import Graph, _ints, _maps, _moved, canonical, graph_from_text, graph_to_text
 
 __all__ = [
     "LinComb",
@@ -270,8 +274,41 @@ def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free) -> 
         _add(out, canonical(g)[0], c)
 
 
+def _orbit_masks(slots, columns: list, groups=()):
+    """Yield (mask, orbit size) for one subset of `slots` per orbit of a
+    permutation group on them: the subset whose int mask is the least in
+    its orbit, skipping subsets that turn on every slot of a mask in
+    `groups`. Every group element must map the groups onto groups.
+
+    columns[j] holds the bit that slots[j] moves to under each element of
+    the group, identity included. A depth-first search over `slots` carries
+    the mask and its image under every element; a mask is kept when no
+    image is smaller, and its orbit has |G| / |Stab| members, counting
+    elements, not their actions, so distinct elements may act alike.
+    """
+    size = len(columns[0]) if columns else 1
+    member = [[grp for grp in groups if grp >> i & 1] for i in slots]
+    stack = [(0, 0, [0] * size)]
+    while stack:
+        idx, mask, images = stack.pop()
+        if idx == len(slots):
+            if min(images) == mask:
+                yield mask, size // images.count(mask)
+            continue
+        # slot on, unless that turns all of one of its groups on; pushed
+        # first so that the slot-off branch runs first
+        on = mask | 1 << slots[idx]
+        if all(on & grp != grp for grp in member[idx]):
+            stack.append((idx + 1, on, [a + b for a, b in zip(images, columns[idx])]))
+        stack.append((idx + 1, mask, images))
+
+
 def _product(r: int, f: dict, g: dict) -> dict:
-    """Coefficients of the product of two coefficient dicts."""
+    """Coefficients of the product of two coefficient dicts. Aut(F) x Aut(G)
+    fixes a pair's base edges and labels and permutes its cross r-sets, so
+    `_orbit_masks` gives one cross subset per orbit, weighted by its size.
+    The keys are representatives, so |Aut| is a cache hit. The plain loop
+    runs for fewer than 6 cross r-sets or a trivial group."""
     out: dict[Graph, Fraction] = {}
     for gf, a in f.items():
         n1 = gf.n
@@ -279,7 +316,18 @@ def _product(r: int, f: dict, g: dict) -> dict:
             n = n1 + gg.n
             base = gf.edges + tuple(tuple(v + n1 for v in e) for e in gg.edges)
             cross = [e for e in combinations(range(n), r) if e[0] < n1 <= e[-1]]
-            _add_spanned(out, a * b, r, n, gf.labels + gg.labels, base, cross)
+            labels = gf.labels + gg.labels
+            if len(cross) < 6 or canonical(gf)[1] * canonical(gg)[1] == 1:
+                _add_spanned(out, a * b, r, n, labels, base, cross)
+                continue
+            right = [tuple(n1 + v for v in t) for t in _maps(gg, gg)]
+            perms = [s + t for s in _maps(gf, gf) for t in right]
+            bit = {e: 1 << i for i, e in enumerate(cross)}
+            columns = list(zip(*([bit[s] for s in _moved(p, cross)] for p in perms)))
+            for mask, orbit in _orbit_masks(range(len(cross)), columns):
+                extra = tuple(e for i, e in enumerate(cross) if mask >> i & 1)
+                h = Graph._trusted(r, n, labels, tuple(sorted(base + extra)))
+                _add(out, canonical(h)[0], a * b * orbit)
     return out
 
 

@@ -109,7 +109,7 @@ def _resolve_scheme(text: str):
 
 
 def _parse_p_list(text: str):
-    if not text:
+    if text is None:
         return None
     try:
         return tuple(Fraction(part) for part in text.split(","))

@@ -25,10 +25,11 @@ combination over the output algebra to one over the input algebra by summing,
 for each term G, all graphs H on eta(V_G) with tau(H) = G. It always
 enumerates the completions of G (edge sets and labellings of eta(V_G)) but
 canonicalises only those of one edge set per orbit of Aut(G), weighted by
-the orbit size; `Operator.budget` bounds the completions enumerated, not
-those canonicalised. On nind(g) a subdivision scheme's operator gives
-`nind(subdivide(scheme, g))`, which the harness checks against this
-enumeration.
+the orbit size, through the orbit search that `algebra._product` shares
+(`algebra._orbit_masks`); `Operator.budget` bounds the completions
+enumerated, not those canonicalised. On nind(g) a subdivision scheme's
+operator gives `nind(subdivide(scheme, g))`, which the harness checks
+against this enumeration.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from functools import lru_cache, reduce
 from itertools import combinations, product as iter_product
 from operator import or_
 
-from .algebra import LinComb, _add
+from .algebra import LinComb, _add, _orbit_masks
 from .errors import InputError, ResourceError
-from .graphs import Graph, Injection, _ints, _maps, canonical
+from .graphs import Graph, Injection, _ints, _maps, _moved, canonical
 
 __all__ = [
     "ConstF",
@@ -162,11 +163,6 @@ def apply_functor_injection(eta, alpha: Injection) -> Injection:
     """eta(alpha): the induced injection eta([m]) -> eta([n])."""
     image = _positions(eta, alpha.target_n, alpha.image)
     return Injection(len(image), functor_size(eta, alpha.target_n), image)
-
-
-def _moved(pos: tuple, edges) -> list:
-    """Each r-set in `edges` moved by the vertex map `pos`, sorted."""
-    return [tuple(sorted(pos[v] for v in e)) for e in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +345,21 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     A completion is an edge set E with a labelling of eta([n]). E holds the
     slots g forces on and undecided slots picked so that each of g's non-edges
     and labels keeps a slot of its group off; a group's only unforced slot is
-    decided off. A depth-first search enumerates the edge sets. The budget,
-    checked first, bounds 2^(undecided slots) times the labellings. Vertex
-    rules that are not folded into the groups are checked once per edge set,
-    not per labelling, since rules never read labels.
+    decided off. The budget, checked first, bounds 2^(undecided slots) times
+    the labellings. Vertex rules that are not folded into the groups are
+    checked once per edge set, not per labelling, since rules never read
+    labels.
 
     Only one edge set per Aut(g)-orbit is canonicalised. tau is natural, so
     each automorphism sigma of g, acting through eta(sigma), maps the forced
     slots, the groups and the vertex-label checks onto themselves, hence the
     decided and the undecided slots each onto themselves and valid edge sets
-    onto valid edge sets. E is kept only when its slot mask is the least in
-    its orbit; the same pass counts Stab(E), the sigma fixing E, and each
-    labelling of E adds coeff * |Aut(g)| / |Stab(E)|, the orbit size; both
-    count sigma, not their actions, so this holds when distinct sigma act
-    alike. Labellings need no orbit test of their own: a sigma with
-    sigma(E) = E' maps the labellings of E one to one onto those of E', each
-    graph onto an isomorphic one.
+    onto valid edge sets. `algebra._orbit_masks`, the search that products
+    share, enumerates the edge sets with the groups as constraints and keeps
+    the least slot mask of each orbit; each labelling of a kept E adds
+    coeff * |Aut(g)| / |Stab(E)|, the orbit size. Labellings need no orbit
+    test of their own: a sigma with sigma(E) = E' maps the labellings of E
+    one to one onto those of E', each graph onto an isomorphic one.
     """
     tau = op.tau
     n = g.n
@@ -427,53 +422,28 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
             f"= {(1 << k) * n_labelings} completions; budget {op.budget})"
         )
 
-    # Aut(g) acting through eta, identity included: for each sigma, the bit
-    # that each free slot moves to (free slots go to free slots); column[idx]
-    # holds the bits that the slot dfs_order[idx] moves to, one per sigma.
-    # With no free slot, the one edge set is its own orbit: skip the search.
-    actions = [()]
+    # Aut(g) acting through eta: columns[idx] holds the bit that the slot
+    # dfs_order[idx] moves to under each sigma, identity included (free
+    # slots go to free slots). With no free slot, the one edge set is its
+    # own orbit, and the automorphisms are not needed.
+    columns = []
     if dfs_order:
         moving = [all_slots[i] for i in dfs_order]
-        actions = [
-            tuple(slot_bit[s] for s in _moved(_positions(tau.eta, n, sigma), moving))
+        columns = list(zip(*(
+            [slot_bit[s] for s in _moved(_positions(tau.eta, n, sigma), moving)]
             for sigma in _maps(g, g)
-        ]
-    column = list(zip(*actions))
-    member = {i: [grp for grp in cleaned if grp >> i & 1] for i in dfs_order}
-
-    def emit(mask: int, images: list[int]) -> None:
-        # keep the edge set only if its mask is the least in its orbit,
-        # counting its stabiliser on the way
-        stab = 0
-        for image in images:
-            if image < mask:
-                return
-            stab += image == mask
+        )))
+    for mask, orbit in _orbit_masks(dfs_order, columns, cleaned):
         on = forced | mask
         # slot ids follow the lexicographic order: the edges are in normal form
         edges = tuple([s for i, s in enumerate(all_slots) if on >> i & 1])
         if postcheck and any(
             _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
         ):
-            return
-        weight = coeff * (len(actions) // stab)
+            continue
+        weight = coeff * orbit
         for labs in iter_product(labelings, repeat=w):
             _add(out, canonical(Graph._trusted(tau.r, w, labs, edges))[0], weight)
-
-    def dfs(idx: int, mask: int, images: list[int]) -> None:
-        # mask: the slots turned on; images: its image under each sigma
-        if idx == len(dfs_order):
-            emit(mask, images)
-            return
-        slot = dfs_order[idx]
-        # slot off: every group it belongs to is satisfied for good
-        dfs(idx + 1, mask, images)
-        # slot on, unless that turns all of one of its groups on
-        on = mask | 1 << slot
-        if all(on & grp != grp for grp in member[slot]):
-            dfs(idx + 1, on, [a + b for a, b in zip(images, column[idx])])
-
-    dfs(0, 0, [0] * len(actions))
 
 
 def operator_apply(op: Operator, f) -> LinComb:

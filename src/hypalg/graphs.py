@@ -203,6 +203,11 @@ class Injection:
 # basic operations
 
 
+def _moved(pos: tuple, edges) -> list:
+    """Each r-set in `edges` moved by the vertex map `pos`, sorted."""
+    return [tuple(sorted(pos[v] for v in e)) for e in edges]
+
+
 def induced_subgraph(g: Graph, alpha: Injection) -> Graph:
     """The graph alpha pulls back from g: vertex i gets g's data at alpha(i).
 

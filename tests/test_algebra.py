@@ -198,6 +198,31 @@ def test_product_nind_lift_match_brute_force(r, label_set, max_class, max_n):
                 assert _by_brute_class(product(f, g)) == brute_product(f, g)
 
 
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # a nontrivial group on one factor only, two labels
+        (
+            LinComb(2, {0, 1}, {K3: 1}),
+            LinComb(2, {0, 1}, {Graph(2, 2, (0, 1), ((0, 1),)): 1}),
+        ),
+        # nontrivial groups on both factors
+        (LinComb(2, {0}, {P2: 2}), LinComb(2, {0}, {K2: -1})),
+        # both, with two labels
+        (
+            LinComb(2, {0, 1}, {Graph(2, 3, (0, 1, 0), ((0, 1), (1, 2))): 1}),
+            LinComb(2, {0, 1}, {Graph(2, 2, (1, 1)): 3}),
+        ),
+        # r = 3: 9 cross 3-sets
+        (LinComb.from_graph(complete_graph(3, 3)), LinComb.from_graph(empty_graph(3, 2))),
+    ],
+)
+def test_orbit_reduced_products_match_brute_force(f, g):
+    # each pair of terms has >= 6 cross r-sets and a nontrivial
+    # Aut(F) x Aut(G), so the product canonicalises one subset per orbit
+    assert _by_brute_class(product(f, g)) == brute_product(f, g)
+
+
 def test_alg_equal_ideal_relation():
     f = LinComb.from_graph(K2)
     assert alg_equal(f, product(f, point(2, 0)))

@@ -118,6 +118,7 @@ def test_exit_code_two_on_input_errors(capsys):
         ["verify", "gensub", "--scheme", "box", "--graph", "graph{r=2;n=1;l=;e=}"],
         ["verify", "box", "--p", "3/2"],
         ["verify", "box", "--p", "1/4,alpha"],
+        ["verify", "box", "--p", ""],
         ["verify", "hyper", "--r", "3", "--m", "2"],
     ]
     for argv in cases:

@@ -46,7 +46,7 @@ from hypalg import (
     tau_apply,
     triangle_scheme,
 )
-from hypalg import functors, graphs
+from hypalg import algebra, functors, graphs
 from oracles import brute_operator_apply, brute_well_defined, reference_canonical
 
 
@@ -560,6 +560,24 @@ def test_operator_canonicalises_one_completion_per_orbit(
     op = scheme.operator()
     operator_apply(op, nind(term))
     assert len(calls) <= bound
+
+
+def test_product_canonicalises_one_cross_subset_per_orbit(monkeypatch):
+    # the crossing probe's right side: one canonical form per
+    # Aut(F) x Aut(G)-orbit of cross subsets takes 240 calls; every cross
+    # subset took 1,536
+    op = crossing_scheme().operator()
+    f = operator_apply(op, complete_graph(2, 2))
+    g = operator_apply(op, point(2, 0))
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical(h)
+
+    monkeypatch.setattr(algebra, "canonical", counting)
+    product(f, g)
+    assert len(calls) <= 400
 
 
 def test_multiplicativity_and_const_counterexample():
