@@ -5,11 +5,11 @@ graphs (keyed by canonical representative) with Fraction coefficients, for
 a fixed uniformity r and finite label set U. The product of two classes
 sums over all graphs on the disjoint union of their vertex sets restricting
 to each factor, with every mixed r-set free; `nind` sums over supergraphs
-on the same vertices. Both are one kernel: fixed base edges plus any subset
-of free r-sets, summed by class. A product canonicalises one cross subset
-per orbit of Aut(F) x Aut(G), weighted by the orbit size, through the orbit
-search that the operator kernel shares (`_orbit_masks`); it keeps the plain
-loop over every subset for fewer than 6 cross r-sets or a trivial group.
+on the same vertices. Both are one sum: fixed base edges plus any subset
+of free r-sets, summed by class. `_aut` lists the group Aut(F) x Aut(G) of
+a product, or Aut(G) for `nind`, and `_orbit_subsets`, shared with the
+operator kernel, canonicalises one free subset per orbit, weighted by its
+size; below 6 free r-sets or for a trivial group every subset is.
 `lift` rewrites an element as a combination of classes of one fixed order
 by repeated product with the sum of all single-vertex classes, the identity
 of the quotient algebra.
@@ -238,9 +238,9 @@ def point_sum(r: int, label_set=frozenset({0})) -> LinComb:
     """Sum of all single-vertex classes, the identity of the quotient
     algebra: every label, and for r = 1 with and without the edge (0,)."""
     out = LinComb.zero(r, label_set)
-    lone = list(combinations(range(1), r))  # the r-sets of one vertex
     for lab in sorted(out.label_set):
-        _add_spanned(out.coeffs, Fraction(1), r, 1, (lab,), (), lone)
+        for edges in [()] + [((0,),)] * (r == 1):
+            out.coeffs[Graph._trusted(r, 1, (lab,), edges)] = Fraction(1)
     return out
 
 
@@ -264,51 +264,75 @@ def order(f) -> int:
 # product, supergraph sum, lift
 
 
-def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free) -> None:
-    """Add c to the class of every graph on [n] with these labels whose
-    edges are `base` plus a subset of `free`, subsets in binary order.
-    `base` (a tuple) and `free` hold disjoint increasing r-sets of [n]."""
-    for bits in range(1 << len(free)):
-        extra = tuple(free[i] for i in range(len(free)) if bits >> i & 1)
-        g = Graph._trusted(r, n, labels, tuple(sorted(base + extra)))
-        _add(out, canonical(g)[0], c)
+def _aut(factors) -> list:
+    """Aut(F_1) x ... x Aut(F_k) on the disjoint union of the factors, each
+    placed after the ones before it: every element as its tuple of images,
+    the identity included. A factor with |Aut| = 1 is not searched; the
+    factors are class representatives, so |Aut| is a cache hit."""
+    maps, shift = [()], 0
+    for h in factors:
+        own = _maps(h, h) if canonical(h)[1] > 1 else [range(h.n)]
+        own = [tuple(shift + v for v in t) for t in own]
+        maps = [s + t for s in maps for t in own]
+        shift += h.n
+    return maps
 
 
-def _orbit_masks(slots, columns: list, groups=()):
-    """Yield (mask, orbit size) for one subset of `slots` per orbit of a
-    permutation group on them: the subset whose int mask is the least in
-    its orbit, skipping subsets that turn on every slot of a mask in
-    `groups`. Every group element must map the groups onto groups.
+def _orbit_subsets(free: list, maps, groups=()):
+    """Yield (subset, orbit size) for one subset of the r-sets `free` per
+    orbit of the group `maps` of vertex maps, skipping subsets that hold
+    every r-set of a group in `groups`. Every element must map `free` and
+    the groups onto themselves; a subset lists its r-sets in `free` order.
 
-    columns[j] holds the bit that slots[j] moves to under each element of
-    the group, identity included. A depth-first search over `slots` carries
-    the mask and its image under every element; a mask is kept when no
-    image is smaller, and its orbit has |G| / |Stab| members, counting
-    elements, not their actions, so distinct elements may act alike.
+    With fewer than two maps and no groups, every subset is its own orbit,
+    in binary order. Otherwise free[i] is bit i of a mask, and a
+    depth-first search over `free` carries the mask and its image under
+    every map, identity included. A mask is kept when no image is smaller,
+    and its orbit has |G| / |Stab| members, counting elements, not their
+    actions, so distinct elements may act alike.
     """
-    size = len(columns[0]) if columns else 1
-    member = [[grp for grp in groups if grp >> i & 1] for i in slots]
-    stack = [(0, 0, [0] * size)]
+    if len(maps) < 2 and not groups:
+        for bits in range(1 << len(free)):
+            yield tuple([e for i, e in enumerate(free) if bits >> i & 1]), 1
+        return
+    bit = {e: 1 << i for i, e in enumerate(free)}
+    # columns[i] holds the bit that free[i] moves to under each map
+    columns = list(zip(*([bit[e] for e in _moved(p, free)] for p in maps)))
+    masks = [sum(bit[e] for e in grp) for grp in groups]
+    member = [[m for m in masks if m & b] for b in bit.values()]
+    stack = [(0, 0, [0] * len(maps))]
     while stack:
-        idx, mask, images = stack.pop()
-        if idx == len(slots):
+        i, mask, images = stack.pop()
+        if i == len(free):
             if min(images) == mask:
-                yield mask, size // images.count(mask)
+                subset = tuple([e for j, e in enumerate(free) if mask >> j & 1])
+                yield subset, len(maps) // images.count(mask)
             continue
-        # slot on, unless that turns all of one of its groups on; pushed
-        # first so that the slot-off branch runs first
-        on = mask | 1 << slots[idx]
-        if all(on & grp != grp for grp in member[idx]):
-            stack.append((idx + 1, on, [a + b for a, b in zip(images, columns[idx])]))
-        stack.append((idx + 1, mask, images))
+        # free[i] on, unless that turns all of one of its groups on; pushed
+        # first so that the branch with it off runs first
+        on = mask | 1 << i
+        if all(on & m != m for m in member[i]):
+            stack.append((i + 1, on, [a + b for a, b in zip(images, columns[i])]))
+        stack.append((i + 1, mask, images))
+
+
+def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free, factors):
+    """Add c to the class of every graph on [n] with these labels whose
+    edges are `base` plus a subset of `free`. The factors lie side by side
+    on [n], and their automorphisms fix the base edges and labels and
+    permute `free`, so one subset per orbit is canonicalised, weighted by
+    its size. Below 6 free r-sets listing the group costs more than it saves."""
+    weight: dict[int, Fraction] = {}
+    for extra, orbit in _orbit_subsets(free, _aut(factors) if len(free) >= 6 else ()):
+        if orbit not in weight:
+            weight[orbit] = c * orbit
+        g = Graph._trusted(r, n, labels, tuple(sorted(base + extra)))
+        _add(out, canonical(g)[0], weight[orbit])
 
 
 def _product(r: int, f: dict, g: dict) -> dict:
-    """Coefficients of the product of two coefficient dicts. Aut(F) x Aut(G)
-    fixes a pair's base edges and labels and permutes its cross r-sets, so
-    `_orbit_masks` gives one cross subset per orbit, weighted by its size.
-    The keys are representatives, so |Aut| is a cache hit. The plain loop
-    runs for fewer than 6 cross r-sets or a trivial group."""
+    """Coefficients of the product of two coefficient dicts: for each pair
+    of terms, the base edges of both and any subset of the cross r-sets."""
     out: dict[Graph, Fraction] = {}
     for gf, a in f.items():
         n1 = gf.n
@@ -316,18 +340,7 @@ def _product(r: int, f: dict, g: dict) -> dict:
             n = n1 + gg.n
             base = gf.edges + tuple(tuple(v + n1 for v in e) for e in gg.edges)
             cross = [e for e in combinations(range(n), r) if e[0] < n1 <= e[-1]]
-            labels = gf.labels + gg.labels
-            if len(cross) < 6 or canonical(gf)[1] * canonical(gg)[1] == 1:
-                _add_spanned(out, a * b, r, n, labels, base, cross)
-                continue
-            right = [tuple(n1 + v for v in t) for t in _maps(gg, gg)]
-            perms = [s + t for s in _maps(gf, gf) for t in right]
-            bit = {e: 1 << i for i, e in enumerate(cross)}
-            columns = list(zip(*([bit[s] for s in _moved(p, cross)] for p in perms)))
-            for mask, orbit in _orbit_masks(range(len(cross)), columns):
-                extra = tuple(e for i, e in enumerate(cross) if mask >> i & 1)
-                h = Graph._trusted(r, n, labels, tuple(sorted(base + extra)))
-                _add(out, canonical(h)[0], a * b * orbit)
+            _add_spanned(out, a * b, r, n, gf.labels + gg.labels, base, cross, (gf, gg))
     return out
 
 
@@ -347,7 +360,7 @@ def nind(f, label_set=None) -> LinComb:
     out: dict[Graph, Fraction] = {}
     for g, c in f.coeffs.items():
         missing = [e for e in combinations(range(g.n), f.r) if e not in g.edge_set]
-        _add_spanned(out, c, f.r, g.n, g.labels, g.edges, missing)
+        _add_spanned(out, c, f.r, g.n, g.labels, g.edges, missing, (g,))
     return LinComb._raw(f.r, f.label_set, out)
 
 

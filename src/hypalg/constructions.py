@@ -283,6 +283,7 @@ def copies_scheme(s: int) -> SubdivisionScheme:
 
 def path_scheme(k: int) -> SubdivisionScheme:
     """Each edge becomes a path with k edges (k-1 private vertices)."""
+    (k,) = _ints((k,), "path length")
     if k < 1:
         raise InputError(f"path length must be >= 1, got {k}")
     f_v = Graph(2, 1)
@@ -347,6 +348,7 @@ def even_scheme(r: int) -> SubdivisionScheme:
 def blowup(g: Graph, m: int) -> Graph:
     """m-fold blowup: vertex (v, i) at index v*m + i, blocks independent,
     complete bipartite between blocks of adjacent vertices."""
+    (m,) = _ints((m,), "blowup factor")
     if m < 1:
         raise InputError(f"blowup factor must be >= 1, got {m}")
     edges = []
@@ -385,6 +387,7 @@ def loose_expansion(g: Graph, r: int) -> Graph:
     """Pad each 2-edge with r-2 fresh private vertices."""
     if g.r != 2:
         raise InputError("loose expansion starts from a 2-uniform graph")
+    (r,) = _ints((r,), "uniformity")
     if r < 3:
         raise InputError(f"loose expansions need r >= 3, got {r}")
     sp = r - 2
@@ -400,6 +403,7 @@ def even_expansion(g: Graph, r: int) -> Graph:
     endpoints' copy blocks."""
     if g.r != 2:
         raise InputError("even expansion starts from a 2-uniform graph")
+    (r,) = _ints((r,), "uniformity")
     if r < 2 or r % 2:
         raise InputError(f"even expansions need even r >= 2, got {r}")
     m = r // 2
@@ -461,6 +465,7 @@ class LabeledLift:
 
 def drop_labels(h: Graph, ell: int) -> Graph:
     """Induced subgraph on the vertices not labeled ell."""
+    (ell,) = _ints((ell,), "label")
     keep = tuple(v for v in range(h.n) if h.labels[v] != ell)
     return induced_subgraph(h, Injection(len(keep), h.n, keep))
 

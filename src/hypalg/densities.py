@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebra import LinComb, _coerce
 from .constructions import blowup
 from .errors import InputError, ResourceError
-from .graphs import Graph, _maps
+from .graphs import Graph, _ints, _maps
 
 __all__ = [
     "blowup_density_curve",
@@ -46,28 +46,24 @@ def inj_density(f, h: Graph) -> Fraction:
     Zero when the argument has more vertices than the host; one for the
     empty graph. Linear in LinComb arguments.
     """
+    return _map_density(f, h, induced=True, injective=True)
+
+
+def _map_density(f, h: Graph, induced: bool, injective: bool = False) -> Fraction:
+    """Fraction of the vertex maps into h (injections with `injective`)
+    that `_maps` yields, extended linearly. A term with no injection into
+    h has density zero; on a host without vertices only the empty graph
+    has a map at all."""
     f = _coerce(f)
     _check_host(f, h)
     total = Fraction(0)
     for g, c in f.coeffs.items():
-        if g.n > h.n:
-            continue
-        count = sum(1 for _ in _maps(g, h))
-        total += c * Fraction(count, math.perm(h.n, g.n))
-    return total
-
-
-def _map_density(f, h: Graph, induced: bool) -> Fraction:
-    """Fraction of all vertex maps into h that `_maps` yields, extended
-    linearly. On a host without vertices only the empty graph has a map."""
-    f = _coerce(f)
-    _check_host(f, h)
-    total = Fraction(0)
-    for g, c in f.coeffs.items():
-        if h.n == 0 < g.n:
+        maps = math.perm(h.n, g.n) if injective else h.n**g.n
+        if maps:
+            count = sum(1 for _ in _maps(g, h, induced, injective))
+            total += c * Fraction(count, maps)
+        elif not injective:
             raise InputError("host graph has no vertices")
-        count = sum(1 for _ in _maps(g, h, induced, injective=False))
-        total += c * Fraction(count, h.n**g.n)
     return total
 
 
@@ -92,6 +88,7 @@ def blowup_density_curve(f, h: Graph, n_max: int, cap: int = 32) -> list[Fractio
     Convergence diagnostics for the blow-up limit; the host size h.n * n_max
     is capped (default 32) because injection counting is exhaustive.
     """
+    (n_max,) = _ints((n_max,), "n_max")
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     if h.n * n_max > cap:

@@ -25,11 +25,12 @@ combination over the output algebra to one over the input algebra by summing,
 for each term G, all graphs H on eta(V_G) with tau(H) = G. It always
 enumerates the completions of G (edge sets and labellings of eta(V_G)) but
 canonicalises only those of one edge set per orbit of Aut(G), weighted by
-the orbit size, through the orbit search that `algebra._product` shares
-(`algebra._orbit_masks`); `Operator.budget` bounds the completions
-enumerated, not those canonicalised. On nind(g) a subdivision scheme's
-operator gives `nind(subdivide(scheme, g))`, which the harness checks
-against this enumeration.
+the orbit size, through the subset search and the automorphism list that
+products and `nind` share (`algebra._orbit_subsets`, `algebra._aut`).
+`Operator.budget` bounds the completions enumerated, not those
+canonicalised. On nind(g) a subdivision scheme's operator gives
+`nind(subdivide(scheme, g))`, which the harness checks against this
+enumeration.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, product as iter_product
-from operator import or_
 
-from .algebra import LinComb, _add, _orbit_masks
+from .algebra import LinComb, _add, _aut, _orbit_subsets
 from .errors import InputError, ResourceError
-from .graphs import Graph, Injection, _ints, _maps, _moved, canonical
+from .graphs import Graph, Injection, _ints, _moved, canonical
 
 __all__ = [
     "ConstF",
@@ -74,8 +74,10 @@ class SubsetsF:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise InputError(f"subset size must be >= 0, got {self.k}")
+        (k,) = _ints((self.k,), "subset size")
+        if k < 0:
+            raise InputError(f"subset size must be >= 0, got {k}")
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -103,15 +105,16 @@ class ProductF:
     right: object
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def apply_functor_set(eta, n: int) -> tuple:
     """The ordered elements of eta([n]).
 
     Subsets are ascending tuples in lexicographic order; union elements are
     tagged (0, x) then (1, y); product elements are pairs in row-major
     order. The ordering is what gives graphs on eta([n]) stable vertex
-    indices.
+    indices. The cache is typed, so an n of another type is checked afresh.
     """
+    (n,) = _ints((n,), "set size")
     if n < 0:
         raise InputError(f"set size must be >= 0, got {n}")
     if isinstance(eta, SubsetsF):
@@ -340,42 +343,36 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     """Add coeff times the class of every graph H on eta([n]) with
     tau(H) = g to `out`, where n = v(g).
 
-    Slots are the r-sets of eta([n]) in lexicographic order, and every set of
-    slots, groups and edge sets included, is an int mask over their indices.
-    A completion is an edge set E with a labelling of eta([n]). E holds the
-    slots g forces on and undecided slots picked so that each of g's non-edges
-    and labels keeps a slot of its group off; a group's only unforced slot is
-    decided off. The budget, checked first, bounds 2^(undecided slots) times
-    the labellings. Vertex rules that are not folded into the groups are
-    checked once per edge set, not per labelling, since rules never read
-    labels.
+    Slots are the r-sets of eta([n]). A completion is an edge set E with a
+    labelling of eta([n]). E holds the slots g forces on and free slots
+    picked so that each of g's non-edges and labels keeps a slot of its
+    group off; a group's only unforced slot is decided off. The budget,
+    checked first, bounds 2^(free slots) times the labellings. Vertex rules
+    that are not folded into the groups are checked once per edge set, not
+    per labelling, since rules never read labels.
 
     Only one edge set per Aut(g)-orbit is canonicalised. tau is natural, so
     each automorphism sigma of g, acting through eta(sigma), maps the forced
     slots, the groups and the vertex-label checks onto themselves, hence the
-    decided and the undecided slots each onto themselves and valid edge sets
-    onto valid edge sets. `algebra._orbit_masks`, the search that products
-    share, enumerates the edge sets with the groups as constraints and keeps
-    the least slot mask of each orbit; each labelling of a kept E adds
-    coeff * |Aut(g)| / |Stab(E)|, the orbit size. Labellings need no orbit
-    test of their own: a sigma with sigma(E) = E' maps the labellings of E
-    one to one onto those of E', each graph onto an isomorphic one.
+    decided and the free slots each onto themselves and valid edge sets onto
+    valid edge sets. `algebra._orbit_subsets`, which products and `nind`
+    share, enumerates the free subsets with the groups as constraints, one
+    per orbit of `algebra._aut((g,))` pushed through eta; each labelling of
+    a kept E adds coeff * |Aut(g)| / |Stab(E)|, the orbit size. Labellings
+    need no orbit test of their own: a sigma with sigma(E) = E' maps the
+    labellings of E one to one onto those of E', each graph onto an
+    isomorphic one.
     """
     tau = op.tau
     n = g.n
     w = functor_size(tau.eta, n)
-    all_slots = list(combinations(range(w), tau.r))
-    slot_bit = {s: 1 << i for i, s in enumerate(all_slots)}
 
-    def template_slots(sub: tuple, template: Graph) -> int:
-        # eta of an injection is one-to-one, so the moved edges' bits differ
-        pos = _eta_image(tau.eta, n, sub)
-        return sum(slot_bit[s] for s in _moved(pos, template.edges))
+    def template_slots(sub: tuple, template: Graph) -> frozenset:
+        return frozenset(_moved(_eta_image(tau.eta, n, sub), template.edges))
 
-    forced = 0
-    groups: list[int] = []  # each: at least one slot must stay off
-    postcheck: list[int] = []  # vertices needing a label check per edge set
-
+    forced = set()
+    groups = []  # each: at least one slot must stay off
+    postcheck = []  # vertices needing a label check per edge set
     for e in combinations(range(n), tau.base_r):
         slots = template_slots(e, tau.edge_template)
         if e in g.edge_set:
@@ -400,43 +397,33 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
         else:
             postcheck.append(v)
 
-    groups = [grp & ~forced for grp in groups]
+    groups = [grp - forced for grp in groups]
     if not all(groups):
         return  # a group's slots are all forced on; no completion satisfies it
     # a group's only unforced slot stays off, satisfying every group holding it
-    off = reduce(or_, (grp for grp in groups if grp.bit_count() == 1), 0)
-    cleaned = [grp for grp in groups if not grp & off]
-
-    free = [i for i in range(len(all_slots)) if not (forced | off) >> i & 1]
+    off = {s for grp in groups if len(grp) == 1 for s in grp}
+    groups = [grp for grp in groups if not grp & off]
     # slots under a not-all-on constraint first, so pruning bites early
-    grouped = reduce(or_, cleaned, 0)
-    dfs_order = sorted(free, key=lambda i: not grouped >> i & 1)
+    grouped = set().union(*groups)
+    decided = forced | off
+    free = [s for s in combinations(range(w), tau.r) if s not in decided]
+    free.sort(key=lambda s: s not in grouped)
 
     labelings = sorted(tau.labels)
-    k = len(dfs_order)
-    n_labelings = len(labelings) ** w
-    if (1 << k) * n_labelings > op.budget:
+    k = len(free)
+    completions = (1 << k) * len(labelings) ** w
+    if completions > op.budget:
         raise ResourceError(
             f"term of order {n} leaves {k} undecided edge slots on "
             f"eta([{n}]) (2^{k} edge sets * {len(labelings)}^{w} labellings "
-            f"= {(1 << k) * n_labelings} completions; budget {op.budget})"
+            f"= {completions} completions; budget {op.budget})"
         )
 
-    # Aut(g) acting through eta: columns[idx] holds the bit that the slot
-    # dfs_order[idx] moves to under each sigma, identity included (free
-    # slots go to free slots). With no free slot, the one edge set is its
-    # own orbit, and the automorphisms are not needed.
-    columns = []
-    if dfs_order:
-        moving = [all_slots[i] for i in dfs_order]
-        columns = list(zip(*(
-            [slot_bit[s] for s in _moved(_positions(tau.eta, n, sigma), moving)]
-            for sigma in _maps(g, g)
-        )))
-    for mask, orbit in _orbit_masks(dfs_order, columns, cleaned):
-        on = forced | mask
-        # slot ids follow the lexicographic order: the edges are in normal form
-        edges = tuple([s for i, s in enumerate(all_slots) if on >> i & 1])
+    # with no free slot the one edge set is its own orbit
+    maps = [_positions(tau.eta, n, sigma) for sigma in _aut((g,))] if free else ()
+    base = tuple(forced)
+    for subset, orbit in _orbit_subsets(free, maps, groups):
+        edges = tuple(sorted(base + subset))
         if postcheck and any(
             _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
         ):

@@ -168,21 +168,25 @@ class Injection:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        source_n, target_n = _ints(
+            (self.source_n, self.target_n), "source and target sizes"
+        )
         image = _ints(self.image, "image")
-        if len(image) != self.source_n:
-            raise InputError(
-                f"image has {len(image)} entries, expected {self.source_n}"
-            )
+        if len(image) != source_n:
+            raise InputError(f"image has {len(image)} entries, expected {source_n}")
         if len(set(image)) != len(image):
             raise InputError("map is not injective")
-        if any(x < 0 or x >= self.target_n for x in image):
+        if any(x < 0 or x >= target_n for x in image):
             raise InputError(
-                f"image {image} not within target range 0..{self.target_n - 1}"
+                f"image {image} not within target range 0..{target_n - 1}"
             )
+        object.__setattr__(self, "source_n", source_n)
+        object.__setattr__(self, "target_n", target_n)
         object.__setattr__(self, "image", image)
 
     @classmethod
     def identity(cls, n: int) -> "Injection":
+        (n,) = _ints((n,), "size")
         return cls(n, n, tuple(range(n)))
 
     def __call__(self, i: int) -> int:
@@ -475,11 +479,13 @@ def single_vertex(r: int = 2, label: int = 0) -> Graph:
 
 
 def complete_graph(r: int, n: int) -> Graph:
+    r, n = _ints((r, n), "uniformity and vertex count")
     return Graph(r, n, None, tuple(combinations(range(n), r)))
 
 
 def cycle_graph(k: int) -> Graph:
     """The 2-uniform cycle C_k, k >= 3."""
+    (k,) = _ints((k,), "cycle length")
     if k < 3:
         raise InputError(f"cycle needs at least 3 vertices, got {k}")
     edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
@@ -488,6 +494,7 @@ def cycle_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     """The 2-uniform path with k edges (k+1 vertices)."""
+    (k,) = _ints((k,), "edge count")
     if k < 0:
         raise InputError(f"edge count must be >= 0, got {k}")
     return Graph(2, k + 1, None, tuple((i, i + 1) for i in range(k)))
@@ -495,6 +502,7 @@ def path_graph(k: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: parts {0..a-1} and {a..a+b-1}."""
+    a, b = _ints((a, b), "part sizes")
     edges = tuple((i, a + j) for i in range(a) for j in range(b))
     return Graph(2, a + b, None, edges)
 

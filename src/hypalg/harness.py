@@ -558,6 +558,7 @@ def verify_forcing_pair_operator(k: int) -> TheoremReport:
     subdivision multiplies cycle lengths, triangle subdivision of an edge
     is a triangle. The analytic conclusion drawn from them is cited, not
     checked: no step stands for it."""
+    (k,) = _ints((k,), "path length")
     if k < 2:
         raise InputError(f"path subdivision needs k >= 2, got {k}")
     t0 = time.perf_counter()

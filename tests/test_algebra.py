@@ -30,6 +30,8 @@ from hypalg import (
     product,
     unit,
 )
+from hypalg import algebra
+from hypalg.graphs import canonical
 from oracles import brute_class, brute_lift, brute_nind, brute_product, burnside_class_count
 from property_suites import run_alg_equal_one_order
 
@@ -221,6 +223,45 @@ def test_orbit_reduced_products_match_brute_force(f, g):
     # each pair of terms has >= 6 cross r-sets and a nontrivial
     # Aut(F) x Aut(G), so the product canonicalises one subset per orbit
     assert _by_brute_class(product(f, g)) == brute_product(f, g)
+
+
+@pytest.mark.parametrize(
+    "g, label_set",
+    [
+        (Graph(2, 5, None, ((0, 1), (1, 2))), {0}),  # P2 + 2K1: 8 missing
+        (Graph(3, 5, None, ((0, 1, 2),)), {0}),  # one 3-edge: 9 missing
+        (Graph(2, 5, (0, 0, 1, 1, 1), ((0, 1),)), {0, 1}),  # K2 + 3K1: 9 missing
+    ],
+)
+def test_orbit_reduced_nind_matches_brute_force(g, label_set):
+    # >= 6 missing r-sets and a nontrivial Aut(g), so nind canonicalises
+    # one supergraph per orbit
+    f = LinComb.from_graph(g, label_set)
+    assert _by_brute_class(nind(f)) == brute_nind(f)
+
+
+def test_aut_lists_the_product_of_the_factor_groups():
+    # P2, K2 and a point side by side on [6]: 2 * 2 * 1 distinct elements, each
+    # fixing the union's edges; a trivial factor is not searched
+    union = (0, 1), (1, 2), (3, 4)
+    maps = algebra._aut((P2, K2, Graph(2, 1)))
+    assert len(set(maps)) == len(maps) == 4
+    for p in maps:
+        assert sorted(tuple(sorted(p[v] for v in e)) for e in union) == list(union)
+
+
+def test_nind_canonicalises_one_supergraph_per_orbit(monkeypatch):
+    # 3K2: 12 missing pairs under a group of order 48. One canonical form per
+    # orbit takes 146 calls; every supergraph took 4,097
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical(h)
+
+    monkeypatch.setattr(algebra, "canonical", counting)
+    nind(Graph(2, 6, None, ((0, 1), (2, 3), (4, 5))))
+    assert len(calls) <= 150
 
 
 def test_alg_equal_ideal_relation():

@@ -1,5 +1,7 @@
 """Command-line entry point: parsing, output, and exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from hypalg import (
@@ -19,6 +21,7 @@ K2_TEXT = "graph{r=2;n=2;l=;e=(0 1)}"
 P2_TEXT = "graph{r=2;n=3;l=;e=(0 1)(1 2)}"
 K3_TEXT = "graph{r=2;n=3;l=;e=(0 1)(0 2)(1 2)}"
 C4_TEXT = "graph{r=2;n=4;l=;e=(0 1)(0 3)(1 2)(2 3)}"
+GOLDEN_MACHINE = Path(__file__).parent / "golden" / "verify_machine.txt"
 
 
 def test_density_inj(capsys):
@@ -92,6 +95,16 @@ def test_verify_machine_report(capsys):
     for line in lines:
         fields = line.split("\t")
         assert len(fields) == 4 and fields[2] == "pass"
+
+
+def test_default_machine_reports_match_the_golden_file(capsys):
+    # --format machine output is byte-stable: the seven default targets print
+    # exactly the committed lines, and an intended change updates the file
+    out = []
+    for target in ("tensor", "gensub", "box", "hyper", "goodman", "forcingpair", "m5"):
+        assert main(["verify", target, "--format", "machine"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out).encode() == GOLDEN_MACHINE.read_bytes()
 
 
 def test_verify_custom_samples(capsys):

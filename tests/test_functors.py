@@ -450,11 +450,12 @@ _BRUTE_CASES = {
             Graph(2, 2, (0, 1), ((0, 1),)),
             Graph(2, 2, (1, 1), ((0, 1),)),
             Graph(2, 2, (0, 0)),
+            Graph(2, 2, (0, 1)),  # a trivial Aut(g) with a label constraint
         ],
     ),
     "crossing/dump": (
         crossing_scheme().operator(labeled=True),
-        [Graph(2, 2, (0, 1), ((0, 1),)), Graph(2, 2, (1, 1))],
+        [Graph(2, 2, (0, 1), ((0, 1),)), Graph(2, 2, (1, 1)), Graph(2, 2, (0, 1))],
     ),
     "two rules": (
         Operator(_two_rule_transformation(frozenset({0, 1}))),

@@ -37,7 +37,20 @@ from hypalg import (
     single_vertex,
     unit,
 )
+from hypalg import (
+    apply_functor_set,
+    blowup,
+    blowup_density_curve,
+    drop_labels,
+    even_expansion,
+    functor_size,
+    loose_expansion,
+    path_scheme,
+    verify_forcing_pair_operator,
+)
 from oracles import brute_canonical, reference_canonical
+
+K2 = complete_graph(2, 2)
 
 
 def test_edge_normalization():
@@ -134,6 +147,34 @@ def _edge_rule(**fields):
         (lambda: UniformRep(unit(2), 2.5), "order must be ints, got (2.5,)"),
         (lambda: lift(unit(2), 2.5), "order must be ints, got (2.5,)"),
         (lambda: lift(unit(2), "3"), "order must be ints, got ('3',)"),
+        (lambda: SubsetsF(2.0), "subset size must be ints, got (2.0,)"),
+        (
+            lambda: apply_functor_set(SubsetsF(1), 2.0),
+            "set size must be ints, got (2.0,)",
+        ),
+        (lambda: functor_size(SubsetsF(1), 3.0), "set size must be ints, got (3.0,)"),
+        (lambda: cycle_graph(4.0), "cycle length must be ints, got (4.0,)"),
+        (lambda: path_graph(2.0), "edge count must be ints, got (2.0,)"),
+        (
+            lambda: complete_graph(2, 3.0),
+            "uniformity and vertex count must be ints, got (2, 3.0)",
+        ),
+        (lambda: complete_bipartite(2.0, 1), "part sizes must be ints, got (2.0, 1)"),
+        (lambda: blowup(K2, 2.0), "blowup factor must be ints, got (2.0,)"),
+        (lambda: path_scheme(2.0), "path length must be ints, got (2.0,)"),
+        (lambda: loose_expansion(K2, 3.0), "uniformity must be ints, got (3.0,)"),
+        (lambda: even_expansion(K2, 4.0), "uniformity must be ints, got (4.0,)"),
+        (lambda: blowup_density_curve(K2, K2, 2.0), "n_max must be ints, got (2.0,)"),
+        (
+            lambda: verify_forcing_pair_operator(3.0),
+            "path length must be ints, got (3.0,)",
+        ),
+        (lambda: Injection.identity(2.0), "size must be ints, got (2.0,)"),
+        (
+            lambda: Injection(2.0, 3, (0, 1)),
+            "source and target sizes must be ints, got (2.0, 3)",
+        ),
+        (lambda: drop_labels(K2, 1.5), "label must be ints, got (1.5,)"),
     ],
 )
 def test_entry_points_reject_non_int_labels_and_vertices(call, message):
@@ -142,12 +183,20 @@ def test_entry_points_reject_non_int_labels_and_vertices(call, message):
     assert str(info.value) == message
 
 
+def test_cached_functor_sets_reject_non_ints():
+    # 2.0 == 2 with one hash, so an untyped cache would return the entry of 2
+    assert apply_functor_set(SubsetsF(1), 2) == ((0,), (1,))
+    with pytest.raises(InputError, match="must be ints"):
+        apply_functor_set(SubsetsF(1), 2.0)
+
+
 def test_entry_points_accept_bools_as_ints():
     assert LinComb(2, (False, True)).label_set == frozenset({0, 1})
     assert Injection(1, 2, (True,)).image == (1,)
     assert _edge_rule(labels=(0, True)).labels == frozenset({0, 1})
     assert LinComb.zero(True).r == 1
     assert Operator(_edge_rule(), budget=True).budget
+    assert type(SubsetsF(True).k) is int
     assert lift(unit(2), True).n == 1
 
 
