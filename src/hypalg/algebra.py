@@ -66,6 +66,14 @@ def _probability(p) -> Fraction:
     return p
 
 
+def _label_set(values, what: str) -> frozenset:
+    """A nonempty label set of ints, as a frozenset."""
+    labels = frozenset(_ints(values, what))
+    if not labels:
+        raise InputError(f"{what} must be nonempty")
+    return labels
+
+
 def _add(out: dict, key, c: Fraction) -> None:
     """Add c to out[key], dropping the key when the sum is zero."""
     c += out.get(key, 0)
@@ -86,12 +94,8 @@ class LinComb:
     __slots__ = ("r", "label_set", "coeffs")
 
     def __init__(self, r: int, label_set=frozenset({0}), coeffs=None):
-        (r,) = _ints((r,), "uniformity")
-        if r < 1:
-            raise InputError(f"uniformity must be >= 1, got {r}")
-        label_set = frozenset(_ints(label_set, "label set"))
-        if not label_set:
-            raise InputError("label set must be nonempty")
+        (r,) = _ints((r,), "uniformity", 1)
+        label_set = _label_set(label_set, "label set")
         norm: dict[Graph, Fraction] = {}
         for g, c in (coeffs or {}).items():
             c = _as_fraction(c)
@@ -198,9 +202,7 @@ class UniformRep:
     __slots__ = ("lincomb", "n")
 
     def __init__(self, lincomb: LinComb, n: int):
-        (n,) = _ints((n,), "order")
-        if n < 0:
-            raise InputError(f"order must be >= 0, got {n}")
+        (n,) = _ints((n,), "order", 0)
         for g in lincomb.coeffs:
             if g.n != n:
                 raise InputError(
@@ -446,7 +448,7 @@ def eval_quasirandom(f, p) -> Fraction:
 def extend_label_set(f, label_set) -> LinComb:
     """The same formal sum viewed over a larger label set."""
     f = _coerce(f)
-    label_set = frozenset(_ints(label_set, "label set"))
+    label_set = _label_set(label_set, "label set")
     if not f.label_set <= label_set:
         raise InputError(
             f"new label set {sorted(label_set)} must contain "
@@ -461,24 +463,25 @@ def extend_label_set(f, label_set) -> LinComb:
 _COEFF_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)\*")
 
 
-def lincomb_to_text(f: LinComb) -> str:
-    if not f.coeffs:
+def _signed_sum(terms) -> str:
+    """Join (coefficient, suffix) pairs as `|c|suffix` with ' + ' or ' - '
+    between them and a bare '-' before a negative first term; '0' if none."""
+    text = "".join(f" {'-' if c < 0 else '+'} {abs(c)}{suffix}" for c, suffix in terms)
+    if not text:
         return "0"
-    parts: list[str] = []
-    for g, c in f.terms():
-        mag = -c if c < 0 else c
-        term = f"{mag}*{graph_to_text(g)}"
-        if not parts:
-            parts.append(f"-{term}" if c < 0 else term)
-        else:
-            parts.append(f" - {term}" if c < 0 else f" + {term}")
-    return "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def lincomb_to_text(f: LinComb) -> str:
+    return _signed_sum((c, f"*{graph_to_text(g)}") for g, c in f.terms())
 
 
 def lincomb_from_text(text: str, r: int = None, label_set=None) -> LinComb:
     """Parse the printer's format. The label set is not encoded in the
     text, so pass it explicitly to get anything beyond labels-seen + {0}."""
     s = text.strip()
+    if r is not None:
+        (r,) = _ints((r,), "uniformity", 1)
     if s == "0":
         if r is None:
             raise InputError("cannot infer uniformity of the zero element")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product as iter_product
 
 from .algebra import LinComb, UniformRep, extend_label_set, order
 from .errors import InputError
@@ -145,8 +146,8 @@ class SubdivisionScheme:
     base_r: int
 
     def __post_init__(self) -> None:
-        if self.base_r < 2:
-            raise InputError(f"base uniformity must be >= 2, got {self.base_r}")
+        (base_r,) = _ints((self.base_r,), "base uniformity", 2)
+        object.__setattr__(self, "base_r", base_r)
         if self.f_v.n < 1:
             raise InputError("vertex gadget needs at least one vertex")
         if self.f_v.r != self.f_e.r:
@@ -265,8 +266,7 @@ def subdivide(scheme: SubdivisionScheme, g: Graph) -> Graph:
 
 def blowup_scheme(m: int) -> SubdivisionScheme:
     """Blocks joined completely: subdividing with this is the m-fold blowup."""
-    if m < 1:
-        raise InputError(f"block size must be >= 1, got {m}")
+    (m,) = _ints((m,), "block size", 1)
     f_v = Graph(2, m)
     f_e = Graph(2, 2 * m, None, tuple((i, m + j) for i in range(m) for j in range(m)))
     return SubdivisionScheme(f_v, f_e, 2)
@@ -274,8 +274,7 @@ def blowup_scheme(m: int) -> SubdivisionScheme:
 
 def copies_scheme(s: int) -> SubdivisionScheme:
     """Parallel matching between blocks: subdividing gives s disjoint copies."""
-    if s < 1:
-        raise InputError(f"copy count must be >= 1, got {s}")
+    (s,) = _ints((s,), "copy count", 1)
     f_v = Graph(2, s)
     f_e = Graph(2, 2 * s, None, tuple((i, s + i) for i in range(s)))
     return SubdivisionScheme(f_v, f_e, 2)
@@ -283,9 +282,7 @@ def copies_scheme(s: int) -> SubdivisionScheme:
 
 def path_scheme(k: int) -> SubdivisionScheme:
     """Each edge becomes a path with k edges (k-1 private vertices)."""
-    (k,) = _ints((k,), "path length")
-    if k < 1:
-        raise InputError(f"path length must be >= 1, got {k}")
+    (k,) = _ints((k,), "path length", 1)
     f_v = Graph(2, 1)
     if k == 1:
         f_e = Graph(2, 2, None, ((0, 1),))
@@ -320,8 +317,8 @@ def triangle_scheme() -> SubdivisionScheme:
 
 def mixed_scheme(r: int, m: int) -> SubdivisionScheme:
     """Single r-edge gadget: blocks of size m plus r-2m private vertices."""
-    if m < 1:
-        raise InputError(f"block size must be >= 1, got {m}")
+    (r,) = _ints((r,), "uniformity")
+    (m,) = _ints((m,), "block size", 1)
     if r < 2 * m:
         raise InputError(f"uniformity {r} too small for two blocks of size {m}")
     f_v = Graph(r, m)
@@ -330,12 +327,12 @@ def mixed_scheme(r: int, m: int) -> SubdivisionScheme:
 
 
 def loose_scheme(r: int) -> SubdivisionScheme:
-    if r < 3:
-        raise InputError(f"loose expansions need r >= 3, got {r}")
+    (r,) = _ints((r,), "uniformity", 3)
     return mixed_scheme(r, 1)
 
 
 def even_scheme(r: int) -> SubdivisionScheme:
+    (r,) = _ints((r,), "uniformity")
     if r < 2 or r % 2:
         raise InputError(f"even expansions need even r >= 2, got {r}")
     return mixed_scheme(r, r // 2)
@@ -348,25 +345,14 @@ def even_scheme(r: int) -> SubdivisionScheme:
 def blowup(g: Graph, m: int) -> Graph:
     """m-fold blowup: vertex (v, i) at index v*m + i, blocks independent,
     complete bipartite between blocks of adjacent vertices."""
-    (m,) = _ints((m,), "blowup factor")
-    if m < 1:
-        raise InputError(f"blowup factor must be >= 1, got {m}")
-    edges = []
-    for e in g.edges:
-        for picks in _tuples_over_blocks(e, m):
-            edges.append(tuple(sorted(picks)))
+    (m,) = _ints((m,), "blowup factor", 1)
+    edges = [
+        picks
+        for e in g.edges
+        for picks in iter_product(*(range(v * m, (v + 1) * m) for v in e))
+    ]
     labels = tuple(lab for lab in g.labels for _ in range(m))
     return Graph(g.r, g.n * m, labels, tuple(edges))
-
-
-def _tuples_over_blocks(edge: tuple[int, ...], m: int):
-    if not edge:
-        yield ()
-        return
-    head, rest = edge[0], edge[1:]
-    for sub in _tuples_over_blocks(rest, m):
-        for i in range(m):
-            yield (head * m + i,) + sub
 
 
 def box_product(g: Graph, f: Graph) -> Graph:
@@ -387,9 +373,7 @@ def loose_expansion(g: Graph, r: int) -> Graph:
     """Pad each 2-edge with r-2 fresh private vertices."""
     if g.r != 2:
         raise InputError("loose expansion starts from a 2-uniform graph")
-    (r,) = _ints((r,), "uniformity")
-    if r < 3:
-        raise InputError(f"loose expansions need r >= 3, got {r}")
+    (r,) = _ints((r,), "uniformity", 3)
     sp = r - 2
     edges = []
     for k, (u, v) in enumerate(g.edges):

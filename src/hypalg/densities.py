@@ -88,9 +88,8 @@ def blowup_density_curve(f, h: Graph, n_max: int, cap: int = 32) -> list[Fractio
     Convergence diagnostics for the blow-up limit; the host size h.n * n_max
     is capped (default 32) because injection counting is exhaustive.
     """
-    (n_max,) = _ints((n_max,), "n_max")
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
+    (n_max,) = _ints((n_max,), "n_max", 1)
+    (cap,) = _ints((cap,), "cap", 0)
     if h.n * n_max > cap:
         raise ResourceError(
             f"largest blow-up host would have {h.n * n_max} vertices, "

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add, _aut, _orbit_subsets
+from .algebra import LinComb, _add, _aut, _label_set, _orbit_subsets, alg_equal, product
 from .errors import InputError, ResourceError
 from .graphs import Graph, Injection, _ints, _moved, canonical
 
@@ -74,9 +74,7 @@ class SubsetsF:
     k: int
 
     def __post_init__(self) -> None:
-        (k,) = _ints((self.k,), "subset size")
-        if k < 0:
-            raise InputError(f"subset size must be >= 0, got {k}")
+        (k,) = _ints((self.k,), "subset size", 0)
         object.__setattr__(self, "k", k)
 
 
@@ -114,9 +112,7 @@ def apply_functor_set(eta, n: int) -> tuple:
     order. The ordering is what gives graphs on eta([n]) stable vertex
     indices. The cache is typed, so an n of another type is checked afresh.
     """
-    (n,) = _ints((n,), "set size")
-    if n < 0:
-        raise InputError(f"set size must be >= 0, got {n}")
+    (n,) = _ints((n,), "set size", 0)
     if isinstance(eta, SubsetsF):
         return tuple(combinations(range(n), eta.k))
     if isinstance(eta, ConstF):
@@ -199,15 +195,14 @@ class UpwardTransformation:
     default_label: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", frozenset(_ints(self.labels, "labels")))
+        _ints((self.r, self.base_r), "uniformities", 1)
+        object.__setattr__(self, "labels", _label_set(self.labels, "labels"))
         object.__setattr__(
-            self, "base_labels", frozenset(_ints(self.base_labels, "output labels"))
+            self, "base_labels", _label_set(self.base_labels, "output labels")
         )
         object.__setattr__(self, "vertex_rules", tuple(self.vertex_rules))
         _ints(tuple(lab for lab, _ in self.vertex_rules), "vertex rule labels")
         _ints((self.default_label,), "default label")
-        if min(_ints((self.r, self.base_r), "uniformities")) < 1:
-            raise InputError("uniformities must be >= 1")
         n_rule = functor_size(self.eta, self.base_r)
         if self.edge_template.r != self.r or self.edge_template.n != n_rule:
             raise InputError(
@@ -335,8 +330,7 @@ class Operator:
     budget: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if _ints((self.budget,), "budget")[0] < 1:
-            raise InputError(f"budget must be >= 1, got {self.budget}")
+        _ints((self.budget,), "budget", 1)
 
 
 def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
@@ -458,8 +452,6 @@ def operator_apply(op: Operator, f) -> LinComb:
 def check_multiplicative(op: Operator, f: LinComb, g: LinComb) -> bool:
     """Whether the operator respects the product on this pair  — guaranteed
     when the functor has no constant part, possibly false otherwise."""
-    from .algebra import alg_equal, product
-
     lhs = operator_apply(op, product(f, g))
     rhs = product(operator_apply(op, f), operator_apply(op, g))
     return alg_equal(lhs, rhs)

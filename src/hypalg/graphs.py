@@ -60,11 +60,18 @@ __all__ = [
 ]
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
+def _ints(values, what: str, least: int = None) -> tuple[int, ...]:
+    """The values as a tuple of ints, each at least `least` when given;
+    anything else raises `InputError` naming `what`."""
     try:
-        return tuple(map(operator.index, values))
+        out = tuple(map(operator.index, values))
     except TypeError:
         raise InputError(f"{what} must be ints, got {values!r}") from None
+    if least is not None:
+        for v in out:
+            if v < least:
+                raise InputError(f"{what} must be >= {least}, got {v}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,7 @@ class Graph:
 
     def relabel_vertices(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a vertex bijection: vertex i of self becomes perm[i]."""
+        perm = _ints(perm, "relabeling")
         if sorted(perm) != list(range(self.n)):
             raise InputError("relabeling must be a permutation of 0..n-1")
         labels = [0] * self.n
@@ -169,7 +177,7 @@ class Injection:
 
     def __post_init__(self) -> None:
         source_n, target_n = _ints(
-            (self.source_n, self.target_n), "source and target sizes"
+            (self.source_n, self.target_n), "source and target sizes", 0
         )
         image = _ints(self.image, "image")
         if len(image) != source_n:
@@ -186,7 +194,7 @@ class Injection:
 
     @classmethod
     def identity(cls, n: int) -> "Injection":
-        (n,) = _ints((n,), "size")
+        (n,) = _ints((n,), "size", 0)
         return cls(n, n, tuple(range(n)))
 
     def __call__(self, i: int) -> int:
@@ -494,15 +502,13 @@ def cycle_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     """The 2-uniform path with k edges (k+1 vertices)."""
-    (k,) = _ints((k,), "edge count")
-    if k < 0:
-        raise InputError(f"edge count must be >= 0, got {k}")
+    (k,) = _ints((k,), "edge count", 0)
     return Graph(2, k + 1, None, tuple((i, i + 1) for i in range(k)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: parts {0..a-1} and {a..a+b-1}."""
-    a, b = _ints((a, b), "part sizes")
+    a, b = _ints((a, b), "part sizes", 0)
     edges = tuple((i, a + j) for i in range(a) for j in range(b))
     return Graph(2, a + b, None, edges)
 
@@ -539,9 +545,7 @@ def graph_from_text(text: str) -> Graph:
         except ValueError:
             raise InputError(f"bad label list {lpart!r}") from None
     edges = []
-    consumed = 0
-    for em in _EDGE_RE.finditer(epart):
-        consumed += len(em.group(0))
+    for em in _EDGE_RE.finditer(epart):  # _GRAPH_RE admits only (...) groups
         parts = em.group(1).split()
         try:
             e = tuple(int(x) for x in parts)
@@ -550,8 +554,6 @@ def graph_from_text(text: str) -> Graph:
         if list(e) != sorted(set(e)):
             raise InputError(f"edge {e} must be strictly increasing")
         edges.append(e)
-    if consumed != len(epart):
-        raise InputError(f"bad edge list {epart!r}")
     if edges != sorted(edges) or len(set(edges)) != len(edges):
         raise InputError("edge list must be lexicographically sorted, no repeats")
     return Graph(r, n, labels, tuple(edges))

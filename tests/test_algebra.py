@@ -80,6 +80,8 @@ def test_scalar_and_vector_ops():
     assert f.coefficient(empty_graph(2, 0)) == Fraction(1, 3)
     assert (-f).coefficient(K2) == -2
     assert (f - f) == LinComb.zero(2)
+    assert f * 3 == 3 * f
+    assert f * unit(2) == product(f, unit(2)) == f
 
 
 def test_product_unit_identity():

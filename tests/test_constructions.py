@@ -55,6 +55,7 @@ def test_check_symmetry_accepts_swappable_blocks():
     assert check_symmetry(f, ((0, 1), (2, 3)))
     matching = Graph(2, 4, None, ((0, 2), (1, 3)))
     assert check_symmetry(matching, ((0, 1), (2, 3)))
+    assert check_symmetry(matching, ((0, 1),))  # one block: nothing to permute
 
 
 def test_check_symmetry_detects_asymmetry():

@@ -120,7 +120,20 @@ def test_functor_text_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text", ["sub()", "sub(1", "u(sub(1))", "x(sub(1),sub(2)) trailing", "nope(2)", ""]
+    "text",
+    [
+        "sub()",
+        "sub(1",
+        "u(sub(1))",
+        "x(sub(1),sub(2)) trailing",
+        "nope(2)",
+        "",
+        "const(x)",  # argument not an integer
+        "x sub(1)",  # no '(' after x
+        "u(sub(1),sub(2)",  # no closing ')'
+        ")",  # unexpected token
+        "sub(1) sub(2)",  # trailing tokens
+    ],
 )
 def test_functor_text_rejects(text):
     with pytest.raises(InputError):
@@ -160,6 +173,8 @@ def test_tau_apply_validation():
         tau_apply(tau, complete_graph(2, 5))  # 5 is not |eta([n])| for any n
     with pytest.raises(InputError):
         tau_apply(tau, Graph(2, 4, (0, 0, 0, 1), ()))  # label outside tau's set
+    with pytest.raises(InputError):
+        tau_apply(tau, complete_graph(2, 4), 3)  # eta([3]) has 6 elements
 
 
 def test_infer_order_ambiguous_for_const():
@@ -182,6 +197,15 @@ def test_transformation_validation():
         UpwardTransformation(
             eta, 2, 2, Graph(2, 2), vertex_rules=((7, Graph(2, 1)),)
         )
+    with pytest.raises(InputError):  # vertex template on wrong vertex count
+        UpwardTransformation(eta, 2, 2, Graph(2, 2), vertex_rules=((0, Graph(2, 2)),))
+    with pytest.raises(InputError):  # labeled vertex template refused
+        UpwardTransformation(
+            eta, 2, 2, Graph(2, 2), vertex_rules=((0, Graph(2, 1, (1,))),)
+        )
+    # a 1-uniform output has no permutation to commute with
+    one = UpwardTransformation(eta, 2, 1, Graph(2, 1))
+    assert tau_apply(one, Graph(2, 3)) == Graph(1, 3, None, ((0,), (1,), (2,)))
 
 
 def test_ill_defined_transformation_rejected():
@@ -464,6 +488,17 @@ _BRUTE_CASES = {
     "two rules, one input label": (
         Operator(_two_rule_transformation(frozenset({0}))),
         [Graph(2, 3, (1, 1, 1), _K3.edges)],
+    ),
+    # one vertex rule (label 0) and the default 1: a term vertex labelled 2
+    # has no preimage
+    "box/dump, a third label": (
+        Operator(
+            dataclasses.replace(
+                box_scheme().transformation(labeled=True),
+                base_labels=frozenset({0, 1, 2}),
+            )
+        ),
+        [Graph(2, 2, (0, 2), ((0, 1),)), Graph(2, 1, (2,)), Graph(2, 2, (0, 1))],
     ),
     # both rules give the default label 2, so every vertex gets 2 whatever
     # the edges are, and a term with label 1 has no preimage

@@ -13,6 +13,7 @@ from hypalg import (
     LabeledLift,
     LinComb,
     Operator,
+    SubdivisionScheme,
     SubsetsF,
     UniformRep,
     UpwardTransformation,
@@ -32,6 +33,7 @@ from hypalg import (
     is_isomorphic,
     lift,
     lift_labels,
+    lincomb_from_text,
     nind,
     path_graph,
     single_vertex,
@@ -41,12 +43,19 @@ from hypalg import (
     apply_functor_set,
     blowup,
     blowup_density_curve,
+    blowup_scheme,
+    copies_scheme,
     drop_labels,
     even_expansion,
+    even_scheme,
     functor_size,
     loose_expansion,
+    loose_scheme,
+    mixed_scheme,
     path_scheme,
     verify_forcing_pair_operator,
+    verify_hypergraph,
+    verify_tensor_power,
 )
 from oracles import brute_canonical, reference_canonical
 
@@ -175,6 +184,46 @@ def _edge_rule(**fields):
             "source and target sizes must be ints, got (2.0, 3)",
         ),
         (lambda: drop_labels(K2, 1.5), "label must be ints, got (1.5,)"),
+        # entry points that raised TypeError, blamed another parameter,
+        # built a wrong graph or accepted an empty label set
+        (
+            lambda: SubdivisionScheme(Graph(2, 1), K2, 2.0),
+            "base uniformity must be ints, got (2.0,)",
+        ),
+        (
+            lambda: SubdivisionScheme(Graph(2, 1), K2, "2"),
+            "base uniformity must be ints, got ('2',)",
+        ),
+        (lambda: blowup_scheme("2"), "block size must be ints, got ('2',)"),
+        (lambda: copies_scheme(None), "copy count must be ints, got (None,)"),
+        (lambda: copies_scheme(1.5), "copy count must be ints, got (1.5,)"),
+        (lambda: even_scheme("4"), "uniformity must be ints, got ('4',)"),
+        (lambda: loose_scheme(6.0), "uniformity must be ints, got (6.0,)"),
+        (lambda: mixed_scheme(5, "2"), "block size must be ints, got ('2',)"),
+        (lambda: mixed_scheme(5.0, 2), "uniformity must be ints, got (5.0,)"),
+        (lambda: verify_tensor_power(K2, "2"), "copy count must be ints, got ('2',)"),
+        (lambda: verify_tensor_power(K2, 1.5), "copy count must be ints, got (1.5,)"),
+        (lambda: verify_hypergraph(K2, "3", 1), "uniformity must be ints, got ('3',)"),
+        (
+            lambda: blowup_density_curve(K2, K2, 2, cap="x"),
+            "cap must be ints, got ('x',)",
+        ),
+        (lambda: complete_bipartite(-1, 3), "part sizes must be >= 0, got -1"),
+        (lambda: complete_bipartite(2, -1), "part sizes must be >= 0, got -1"),
+        (
+            lambda: path_graph(2).relabel_vertices((1.0, 0.0, 2.0)),
+            "relabeling must be ints, got (1.0, 0.0, 2.0)",
+        ),
+        (lambda: _edge_rule(labels=frozenset()), "labels must be nonempty"),
+        (
+            lambda: lincomb_from_text("1*graph{r=2;n=1;l=;e=}", r="2"),
+            "uniformity must be ints, got ('2',)",
+        ),
+        (lambda: _edge_rule(base_labels=()), "output labels must be nonempty"),
+        (
+            lambda: UpwardTransformation(SubsetsF(1), 2, 0, Graph(2, 1)),
+            "uniformities must be >= 1, got 0",
+        ),
     ],
 )
 def test_entry_points_reject_non_int_labels_and_vertices(call, message):
@@ -426,6 +475,7 @@ def test_text_round_trip():
         "graph{r=2;n=2;l=;e=(0 1}",  # malformed
         "graph{r=2;n=2;e=}",  # missing l=
         "graph{r=2;n=2;l=;e=(0 a)}",
+        "graph{r=2;n=2;l=0,a;e=}",  # bad label list
         "notagraph",
     ],
 )
