@@ -37,10 +37,10 @@ from .graphs import (
     Graph,
     Injection,
     _ints,
-    _maps,
     graph_from_text,
     graph_to_text,
     induced_subgraph,
+    is_isomorphic,
 )
 
 __all__ = [
@@ -122,9 +122,7 @@ def check_symmetry(f: Graph, sets) -> bool:
 
     source = marked(tuple(range(k)))
     generators = {(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)}
-    return all(
-        next(_maps(source, marked(sigma)), None) is not None for sigma in generators
-    )
+    return all(is_isomorphic(source, marked(sigma)) for sigma in generators)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +498,12 @@ def scheme_from_text(text: str) -> SubdivisionScheme:
             raise InputError(f"bad block {grp!r} in sets= line") from None
     if not blocks:
         raise InputError("sets= line declares no blocks")
-    m = len(blocks[0])
-    if m != f_v.n:
-        raise InputError(
-            f"blocks of size {m} do not match vertex gadget on {f_v.n} vertices"
-        )
+    m = f_v.n
+    for size in map(len, blocks):
+        if size != m:
+            raise InputError(
+                f"blocks of size {size} do not match vertex gadget on {m} vertices"
+            )
     flat = [v for block in blocks for v in block]
     if len(set(flat)) != len(flat):
         raise InputError("blocks overlap in sets= line")

@@ -3,11 +3,12 @@ homomorphism densities, and the blow-up limit connecting them.
 
 All values are exact Fractions that count vertex maps with one pruned
 search, `graphs._maps`, run afresh for each term: nothing is cached. The
-three functionals differ only in the maps they count: injective and
-induced, any map sending edges onto edges, or any map sending edges onto
-edges and every other r-set off them. Hosts are desk-scale (a dozen
-vertices, blow-ups a couple dozen). Every functional extends linearly to
-LinComb arguments with coefficient weights.
+search filters host vertices as bit masks and yields every map, which the
+functional counts one by one. The three functionals differ only in the maps
+they count: injective and induced, any map sending edges onto edges, or any
+map sending edges onto edges and every other r-set off them. Hosts are
+desk-scale (a dozen vertices, blow-ups a couple dozen). Every functional
+extends linearly to LinComb arguments with coefficient weights.
 
 For uniformity above 2 a map counts as a homomorphism when it is injective
 on every edge and sends every edge onto an edge of the host. With that

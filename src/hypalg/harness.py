@@ -302,7 +302,9 @@ def verify_gensubdivision(
         f"scheme operator is multiplicative on the probe pair ({probe_desc})",
         EXACT,
         ok_mult,
-        "operator of the product equals product of the operators",
+        "operator of the product equals product of the operators"
+        if ok_mult
+        else "operator of the product differs from the product of the operators",
     )
 
     e_sub = len(sub.edges)

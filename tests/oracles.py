@@ -273,6 +273,32 @@ def brute_limit_count(g: Graph, h: Graph) -> int:
     return count
 
 
+def brute_maps(g: Graph, h: Graph, induced: bool, injective: bool) -> list:
+    """Every vertex map [n_g] -> [n_h], as its image tuple, that preserves
+    labels and sends each edge of g injectively onto an edge of h; with
+    `induced` also every other r-subset off the edges of h or onto fewer
+    than r vertices, with `injective` only one-to-one maps. Sorted."""
+    if injective:
+        images = permutations(range(h.n), g.n)
+    else:
+        images = iter_product(range(h.n), repeat=g.n)
+    out = []
+    for image in images:
+        if any(h.labels[image[i]] != g.labels[i] for i in range(g.n)):
+            continue
+        ok = True
+        for sub in combinations(range(g.n), g.r):
+            mapped = [image[v] for v in sub]
+            hit = len(set(mapped)) == g.r and tuple(sorted(mapped)) in h.edge_set
+            is_edge = sub in g.edge_set
+            if (is_edge or induced) and hit != is_edge:
+                ok = False
+                break
+        if ok:
+            out.append(image)
+    return sorted(out)
+
+
 def brute_check_symmetry(f: Graph, sets) -> bool:
     """Whether every permutation sigma of the vertex sets is realized by an
     automorphism of f sending the j-th set onto the sigma(j)-th element-wise,

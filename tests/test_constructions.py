@@ -419,6 +419,8 @@ def test_scheme_text_accepts_scrambled_block_positions():
         "graph{r=2;n=1;l=;e=}\ngraph{r=2;n=2;l=;e=(0 1)}\nsets=(x)\n",
         "graph{r=2;n=1;l=;e=}\ngraph{r=2;n=2;l=;e=(0 1)}\n"
         "sets=(0)(1)\nsets=(0)(1)\n",
+        # only the first block fits the gadget
+        "graph{r=2;n=2;l=;e=}\ngraph{r=2;n=4;l=;e=(0 2)(1 3)}\nsets=(0 1)(2)\n",
     ],
 )
 def test_scheme_text_rejects(text):

@@ -57,7 +57,8 @@ from hypalg import (
     verify_hypergraph,
     verify_tensor_power,
 )
-from oracles import brute_canonical, reference_canonical
+from hypalg.graphs import _maps
+from oracles import brute_canonical, brute_maps, reference_canonical
 
 K2 = complete_graph(2, 2)
 
@@ -447,6 +448,24 @@ def test_is_isomorphic():
     assert not is_isomorphic(
         Graph(2, 2, (0, 1), ((0, 1),)), Graph(2, 2, (0, 0), ((0, 1),))
     )
+
+
+@pytest.mark.parametrize("induced", [True, False])
+@pytest.mark.parametrize("injective", [True, False])
+def test_maps_match_brute_force(induced, injective):
+    # the map sets themselves, not only their counts: r = 1, 2 and 3, one or
+    # two labels, patterns of 0-4 and hosts of 0-5 vertices
+    rng = random.Random(f"maps:{induced}:{injective}")
+    found = 0
+    for r in (1, 2, 3):
+        for _ in range(100):
+            labels = rng.randint(1, 2)
+            g = _random_graph(rng, r, rng.randint(0, 4), labels)
+            h = _random_graph(rng, r, rng.randint(0, 5), labels)
+            want = brute_maps(g, h, induced, injective)
+            assert sorted(_maps(g, h, induced, injective)) == want, (g, h)
+            found += bool(want)
+    assert found >= 100
 
 
 def test_text_round_trip():

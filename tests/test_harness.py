@@ -223,6 +223,20 @@ def test_verify_gensubdivision_budget_fallbacks():
     assert "two single vertices" in tier2.steps[1].description
 
 
+def test_probe_witness_says_the_sides_differ_on_failure(monkeypatch):
+    from hypalg import harness
+
+    def step(report):
+        return next(s for s in report.steps if "multiplicative" in s.description)
+
+    monkeypatch.setattr(harness, "check_multiplicative", lambda *args: False)
+    report = verify_gensubdivision(path_scheme(2), K2)
+    assert not step(report).passed and not report.verdict
+    assert step(report).witness == (
+        "operator of the product differs from the product of the operators"
+    )
+
+
 def test_verify_gensubdivision_refuses_before_swap_enumeration(monkeypatch):
     # blowup:4 has 28 slots on a pair of points; the probe's budget check
     # refuses it before the swap step enumerates any preimage
