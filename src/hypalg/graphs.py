@@ -12,12 +12,16 @@ same question pairwise without fixing a representative. The canonical
 search tree is small on sparse graphs: with positions partitioned by
 (label, degree) and present edges preferred, `canonical(cycle_graph(18))`
 takes 3 ms (36 s with a label-only partition and absent edges first) and a
-path on 11 vertices 0.1 ms (2-vCPU Xeon, Python 3.11). But the search
-visits one leaf per automorphism, so `canonical(complete_bipartite(5, 5))`
-(|Aut| = 28,800) takes about 0.2 s where the pairwise search takes under
-1 ms. That is why `is_isomorphic` does not compare canonical forms. The
-pairwise search is `_maps`, the one vertex-map search, which also serves
-the algebra and the densities; it filters host vertices as bit masks.
+path on 11 vertices 0.1 ms (2-vCPU Xeon, Python 3.11). A cache miss first
+relabels its graph in (label, degree) order and looks that graph up, so
+the search runs once per relabelled graph: one round of the `reports`
+benchmark (seed 1) makes 28,262 calls, 9,183 misses and 747 searches. But
+the search visits one leaf per automorphism, so
+`canonical(complete_bipartite(5, 5))` (|Aut| = 28,800) takes about 0.2 s
+where the pairwise search takes under 1 ms. That is why `is_isomorphic`
+does not compare canonical forms. The pairwise search is `_maps`, the one
+vertex-map search, which also serves the algebra and the densities; it
+filters host vertices as bit masks.
 
 The text format is a single line::
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -150,7 +155,7 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, edge) -> bool:
-        return tuple(sorted(edge)) in self.edge_set
+        return tuple(sorted(_ints(edge, "edge vertices"))) in self.edge_set
 
     def relabel_vertices(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a vertex bijection: vertex i of self becomes perm[i]."""
@@ -275,20 +280,48 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     and degrees are isomorphism invariants, so isomorphic graphs map to the
     identical `Graph` value. The automorphism count falls out of the same
     search: it is the number of relabelings attaining the maximum.
+
+    On a cache miss, g is first relabelled in (label, degree) order, ties
+    broken by vertex number, and that graph is looked up; the search runs
+    only when it misses too. Many graphs share one such relabelling (in
+    the `reports` benchmark, about twelve misses per search), and both
+    results are class functions, so one search serves them all. The
+    result is cached under g, the relabelled graph and the representative.
     """
     hit = _CANON_CACHE.get(g)
     if hit is not None:
         return hit
 
     n, r = g.n, g.r
-    target_labels = tuple(sorted(g.labels))
     if n <= 1 or len(g.edges) == 0:
-        rep = Graph._trusted(r, n, target_labels, g.edges)
+        rep = Graph._trusted(r, n, tuple(sorted(g.labels)), g.edges)
         aut = math.prod(math.factorial(g.labels.count(lab)) for lab in set(g.labels))
         result = (rep, aut)
         _CANON_CACHE[g] = _CANON_CACHE[rep] = result
         return result
 
+    degree = [0] * n  # not g.degrees: argument graphs need not keep it
+    for e in g.edges:
+        for v in e:
+            degree[v] += 1
+    order = sorted(range(n), key=lambda v: (g.labels[v], degree[v]))
+    new = [0] * n  # old vertex -> position in the relabelled graph
+    for i, v in enumerate(order):
+        new[v] = i
+    h = Graph._trusted(
+        r, n, tuple(g.labels[v] for v in order), tuple(sorted(_moved(new, g.edges)))
+    )
+    result = _CANON_CACHE.get(h)
+    if result is None:
+        result = _CANON_CACHE[h] = _search(h)
+    _CANON_CACHE[g] = result
+    return result
+
+
+def _search(h: Graph) -> tuple[Graph, int]:
+    """The canonical search on h, a graph with an edge whose vertices are
+    in (label, degree) order; caches the result under the representative."""
+    n, r = h.n, h.r
     # Segments are integers. An edge whose other r-1 vertices sit at new
     # positions c_0 < ... < c_{r-2} sets bit sum_t C(n-1-c_t, r-1-t), the
     # colex rank of the mirrored positions n-1-c. That rank falls as the
@@ -303,18 +336,18 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     binom = [[math.comb(a, j) for j in range(r)] for a in range(n)]
     incident: list[list[int]] = [[] for _ in range(n)]  # vertex -> edge ids
     seg = [0] * n
-    for ei, e in enumerate(g.edges):
+    for ei, e in enumerate(h.edges):
         for v in e:
             incident[v].append(ei)
         if k == 0:  # r = 1: the edge alone is the segment
             seg[e[0]] = 1
-    # old vertices usable at each new position, grouped by (label, degree)
-    key = [(g.labels[v], len(incident[v])) for v in range(n)]
-    target = sorted(key)
-    slots = [[v for v in range(n) if key[v] == target[i]] for i in range(n)]
-    placed = [0] * len(g.edges)  # placed vertices per edge
-    index = [0] * len(g.edges)  # bit index of those vertices' positions
-    free = [sum(e) for e in g.edges]  # sum of unplaced vertices per edge
+    # old vertices usable at each new position: h's (label, degree) cells
+    # are runs of consecutive vertices
+    key = [(h.labels[v], len(incident[v])) for v in range(n)]
+    slots = [range(bisect_left(key, c), bisect_right(key, c)) for c in key]
+    placed = [0] * len(h.edges)  # placed vertices per edge
+    index = [0] * len(h.edges)  # bit index of those vertices' positions
+    free = [sum(e) for e in h.edges]  # sum of unplaced vertices per edge
     pos = [-1] * n  # old vertex -> new position, -1 while unplaced
     perm = [0] * n  # new position -> old vertex
     best = [-1] * n
@@ -369,10 +402,9 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     new = [0] * n  # old vertex -> new position in the representative
     for i, old in enumerate(best_perm):
         new[old] = i
-    edges = tuple(sorted(tuple(sorted(new[v] for v in e)) for e in g.edges))
-    rep = Graph._trusted(r, n, target_labels, edges)
+    rep = Graph._trusted(r, n, h.labels, tuple(sorted(_moved(new, h.edges))))
     result = (rep, count)
-    _CANON_CACHE[g] = _CANON_CACHE[rep] = result
+    _CANON_CACHE[rep] = result
     return result
 
 

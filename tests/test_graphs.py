@@ -52,11 +52,16 @@ from hypalg import (
     loose_expansion,
     loose_scheme,
     mixed_scheme,
+    operator_apply,
     path_scheme,
+    point,
+    product,
+    triangle_scheme,
     verify_forcing_pair_operator,
     verify_hypergraph,
     verify_tensor_power,
 )
+import hypalg.graphs as graph_module
 from hypalg.graphs import _maps
 from oracles import brute_canonical, brute_maps, reference_canonical
 
@@ -216,6 +221,7 @@ def _edge_rule(**fields):
             "relabeling must be ints, got (1.0, 0.0, 2.0)",
         ),
         (lambda: _edge_rule(labels=frozenset()), "labels must be nonempty"),
+        (lambda: K2.has_edge(("a", 1)), "edge vertices must be ints, got ('a', 1)"),
         (
             lambda: lincomb_from_text("1*graph{r=2;n=1;l=;e=}", r="2"),
             "uniformity must be ints, got ('2',)",
@@ -434,6 +440,68 @@ def test_canonical_three_uniform():
     for perm in permutations(range(5)):
         assert canonical(g.relabel_vertices(perm))[0] == canonical(g)[0]
     assert automorphism_count(g) == brute_canonical(g)[1]
+
+
+def test_canonical_is_independent_of_cache_order(monkeypatch):
+    # a miss looks up g relabelled by (label, degree) before searching, so
+    # an entry left by one graph serves others: each graph and two
+    # relabelled copies, canonicalised forwards and then backwards from an
+    # empty cache, get one answer in both orders, the brute-force
+    # automorphism count, and each is cached under its own key; every key
+    # is a normal-form graph isomorphic to its entry's representative
+    rng = random.Random(31337)
+    graphs = []
+    for _ in range(80):
+        g = _random_graph(rng, rng.randint(1, 3), rng.randint(0, 7), rng.randint(1, 3))
+        graphs += [g, _relabeled(rng, g), _relabeled(rng, g)]
+    passes = []
+    for seq in (graphs, graphs[::-1]):
+        cache = {}
+        monkeypatch.setattr(graph_module, "_CANON_CACHE", cache)
+        passes.append([canonical(g) for g in seq])
+        assert all(g in cache for g in seq)
+        for key, (rep, aut) in cache.items():
+            assert key == Graph(key.r, key.n, key.labels, key.edges), key
+            assert is_isomorphic(key, rep), key
+    forward, backward = passes[0], passes[1][::-1]
+    assert forward == backward
+    for i, g in enumerate(graphs):
+        assert forward[i] == forward[i - i % 3], g
+        if g.n <= 6:
+            assert forward[i][1] == brute_canonical(g)[1], g
+
+
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = graph_module._search
+
+    def counting(h):
+        calls.append(h)
+        return search(h)
+
+    monkeypatch.setattr(graph_module, "_CANON_CACHE", {})
+    monkeypatch.setattr(graph_module, "_search", counting)
+    return calls
+
+
+def test_relabelings_with_distinct_keys_search_once(monkeypatch):
+    # every vertex has its own (label, degree) pair, so all 120
+    # relabelings relabel to one graph and share one search
+    calls = _count_searches(monkeypatch)
+    g = Graph(2, 5, (0, 0, 1, 1, 1), ((0, 4), (1, 3), (1, 4), (3, 4)))
+    assert len({(g.labels[v], g.degrees[v]) for v in range(5)}) == 5
+    reps = {canonical(g.relabel_vertices(perm)) for perm in permutations(range(5))}
+    assert len(reps) == 1
+    assert len(calls) == 1
+
+
+def test_triangle_probe_searches_once_per_relabelled_graph(monkeypatch):
+    # the left side of the triangle scheme's multiplicativity probe: 383
+    # searches; one per cache miss took 1,892
+    calls = _count_searches(monkeypatch)
+    op = Operator(triangle_scheme().operator().tau, 2**14)
+    operator_apply(op, product(LinComb.from_graph(K2), point(2, 0)))
+    assert len(calls) <= 400
 
 
 def test_is_isomorphic():
