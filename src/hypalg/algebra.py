@@ -9,7 +9,10 @@ on the same vertices. Both are one sum: fixed base edges plus any subset
 of free r-sets, summed by class. `_aut` lists the group Aut(F) x Aut(G) of
 a product, or Aut(G) for `nind`, and `_orbit_subsets`, shared with the
 operator kernel, canonicalises one free subset per orbit, weighted by its
-size; below 6 free r-sets or for a trivial group every subset is.
+size; below 6 free r-sets or for a trivial group every subset is. Orbit
+sizes are ints: each kernel sums them per class and multiplies a class's
+total by the Fraction coefficient once (`_add_tallied`), so the per-subset
+path does no Fraction arithmetic.
 `lift` rewrites an element as a combination of classes of one fixed order
 by repeated product with the sum of all single-vertex classes, the identity
 of the quotient algebra.
@@ -285,13 +288,16 @@ def _orbit_subsets(free: list, maps, groups=()):
     orbit of the group `maps` of vertex maps, skipping subsets that hold
     every r-set of a group in `groups`. Every element must map `free` and
     the groups onto themselves; a subset lists its r-sets in `free` order.
+    Orbit sizes are ints, so a caller tallies them per class and scales
+    by its coefficient once per class (`_add_tallied`).
 
     With fewer than two maps and no groups, every subset is its own orbit,
     in binary order. Otherwise free[i] is bit i of a mask, and a
-    depth-first search over `free` carries the mask and its image under
-    every map, identity included. A mask is kept when no image is smaller,
-    and its orbit has |G| / |Stab| members, counting elements, not their
-    actions, so distinct elements may act alike.
+    depth-first search over `free` carries the mask, the subset it stands
+    for and its image under every map, identity included. A mask is kept
+    when no image is smaller, and its orbit has |G| / |Stab| members,
+    counting elements, not their actions, so distinct elements may act
+    alike.
     """
     if len(maps) < 2 and not groups:
         for bits in range(1 << len(free)):
@@ -302,20 +308,32 @@ def _orbit_subsets(free: list, maps, groups=()):
     columns = list(zip(*([bit[e] for e in _moved(p, free)] for p in maps)))
     masks = [sum(bit[e] for e in grp) for grp in groups]
     member = [[m for m in masks if m & b] for b in bit.values()]
-    stack = [(0, 0, [0] * len(maps))]
+    stack = [(0, 0, [0] * len(maps), ())]
     while stack:
-        i, mask, images = stack.pop()
+        i, mask, images, subset = stack.pop()
         if i == len(free):
             if min(images) == mask:
-                subset = tuple([e for j, e in enumerate(free) if mask >> j & 1])
                 yield subset, len(maps) // images.count(mask)
             continue
         # free[i] on, unless that turns all of one of its groups on; pushed
         # first so that the branch with it off runs first
         on = mask | 1 << i
         if all(on & m != m for m in member[i]):
-            stack.append((i + 1, on, [a + b for a, b in zip(images, columns[i])]))
-        stack.append((i + 1, mask, images))
+            images_on = [a + b for a, b in zip(images, columns[i])]
+            stack.append((i + 1, on, images_on, subset + (free[i],)))
+        stack.append((i + 1, mask, images, subset))
+
+
+def _add_tallied(out: dict, c: Fraction, weighted) -> None:
+    """Add c times the summed weight of each class that `weighted` yields
+    as (class, int weight) pairs: the weights are summed per class as ints,
+    and each class costs one Fraction product and one `_add` when the
+    enumeration ends, not one per pair."""
+    tally: dict[Graph, int] = {}
+    for cls, k in weighted:
+        tally[cls] = tally.get(cls, 0) + k
+    for cls, k in tally.items():
+        _add(out, cls, c * k)
 
 
 def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free, factors):
@@ -323,13 +341,14 @@ def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free, fac
     edges are `base` plus a subset of `free`. The factors lie side by side
     on [n], and their automorphisms fix the base edges and labels and
     permute `free`, so one subset per orbit is canonicalised, weighted by
-    its size. Below 6 free r-sets listing the group costs more than it saves."""
-    weight: dict[int, Fraction] = {}
-    for extra, orbit in _orbit_subsets(free, _aut(factors) if len(free) >= 6 else ()):
-        if orbit not in weight:
-            weight[orbit] = c * orbit
-        g = Graph._trusted(r, n, labels, tuple(sorted(base + extra)))
-        _add(out, canonical(g)[0], weight[orbit])
+    its size; the int weights are summed per class before c scales them.
+    Below 6 free r-sets listing the group costs more than it saves."""
+    maps = _aut(factors) if len(free) >= 6 else ()
+    classes = (
+        (canonical(Graph._trusted(r, n, labels, tuple(sorted(base + extra))))[0], orbit)
+        for extra, orbit in _orbit_subsets(free, maps)
+    )
+    _add_tallied(out, c, classes)
 
 
 def _product(r: int, f: dict, g: dict) -> dict:
@@ -437,11 +456,14 @@ def eval_quasirandom(f, p) -> Fraction:
     f = _coerce(f)
     p = _probability(p)
     u = Fraction(1, len(f.label_set))
-    total = Fraction(0)
+    # the value depends on a class only through its shape (v, e)
+    by_shape: dict[tuple[int, int], Fraction] = {}
     for g, c in f.coeffs.items():
-        e = len(g.edges)
-        slots = math.comb(g.n, f.r)
-        total += c * p**e * (1 - p) ** (slots - e) * u**g.n
+        shape = (g.n, len(g.edges))
+        by_shape[shape] = by_shape.get(shape, 0) + c
+    total = Fraction(0)
+    for (v, e), c in by_shape.items():
+        total += c * p**e * (1 - p) ** (math.comb(v, f.r) - e) * u**v
     return total
 
 

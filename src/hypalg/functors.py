@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add, _aut, _label_set, _orbit_subsets, alg_equal, product
+from .algebra import LinComb, _add_tallied, _aut, _label_set, _orbit_subsets, alg_equal, product
 from .errors import InputError, ResourceError
 from .graphs import Graph, Injection, _ints, _moved, canonical
 
@@ -352,7 +352,9 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     valid edge sets. `algebra._orbit_subsets`, which products and `nind`
     share, enumerates the free subsets with the groups as constraints, one
     per orbit of `algebra._aut((g,))` pushed through eta; each labelling of
-    a kept E adds coeff * |Aut(g)| / |Stab(E)|, the orbit size. Labellings
+    a kept E adds the orbit size |Aut(g)| / |Stab(E)|, an int, to the tally
+    of its class, and `algebra._add_tallied` adds coeff times each class's
+    tally to `out` once the enumeration ends. Labellings
     need no orbit test of their own: a sigma with sigma(E) = E' maps the
     labellings of E one to one onto those of E', each graph onto an
     isomorphic one.
@@ -416,15 +418,18 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     # with no free slot the one edge set is its own orbit
     maps = [_positions(tau.eta, n, sigma) for sigma in _aut((g,))] if free else ()
     base = tuple(forced)
-    for subset, orbit in _orbit_subsets(free, maps, groups):
-        edges = tuple(sorted(base + subset))
-        if postcheck and any(
-            _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
-        ):
-            continue
-        weight = coeff * orbit
-        for labs in iter_product(labelings, repeat=w):
-            _add(out, canonical(Graph._trusted(tau.r, w, labs, edges))[0], weight)
+
+    def completions():
+        for subset, orbit in _orbit_subsets(free, maps, groups):
+            edges = tuple(sorted(base + subset))
+            if postcheck and any(
+                _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
+            ):
+                continue
+            for labs in iter_product(labelings, repeat=w):
+                yield canonical(Graph._trusted(tau.r, w, labs, edges))[0], orbit
+
+    _add_tallied(out, coeff, completions())
 
 
 def operator_apply(op: Operator, f) -> LinComb:

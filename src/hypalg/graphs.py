@@ -87,7 +87,10 @@ class Graph:
     ints for `r`, `n`, labels and vertices, and brings the edges to normal
     form: sorted within each edge, deduplicated, and sorted lexicographically,
     so structurally equal graphs are equal values. `Graph._trusted` builds a
-    value already in that form without checks. The hash is cached.
+    value already in that form without checks. Both set the hash, that of
+    (r, n, labels, edges), as a plain attribute when the value is built:
+    nearly every graph is hashed, most of them into the canonical cache,
+    and up to Python 3.11 a first read of a `cached_property` takes a lock.
     """
 
     r: int
@@ -120,22 +123,23 @@ class Graph:
                 seen.add(e)
                 norm.append(e)
         norm.sort()
-        self.__dict__.update(r=r, n=n, labels=labels, edges=tuple(norm))
+        edges = tuple(norm)
+        self.__dict__.update(
+            r=r, n=n, labels=labels, edges=edges, _hash=hash((r, n, labels, edges))
+        )
 
     @classmethod
     def _trusted(cls, r: int, n: int, labels: tuple, edges: tuple) -> "Graph":
         """Internal, unchecked: `labels` is a tuple of n ints and `edges` is in
         normal form (increasing int tuples in 0..n-1, sorted, no repeats)."""
         g = object.__new__(cls)
-        g.__dict__.update(r=r, n=n, labels=labels, edges=edges)
+        g.__dict__.update(
+            r=r, n=n, labels=labels, edges=edges, _hash=hash((r, n, labels, edges))
+        )
         return g
 
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.r, self.n, self.labels, self.edges))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
@@ -415,19 +419,26 @@ def _search(h: Graph) -> tuple[Graph, int]:
 def _greedy_order(g: Graph) -> list[int]:
     """Visit vertices so each new one closes the most edges with the visited
     set, then has the highest degree; ties go to the least vertex."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> edge ids
+    for ei, e in enumerate(g.edges):
+        for v in e:
+            incident[v].append(ei)
+    # closed[v]: edges of v whose other vertices are all placed, which for
+    # r = 1 is every edge of v from the start
+    closed = [len(inc) if g.r == 1 else 0 for inc in incident]
+    waiting = [g.r] * len(g.edges)  # unplaced vertices per edge
+    free = [sum(e) for e in g.edges]  # sum of unplaced vertices per edge
+    rest = list(range(g.n))
     order: list[int] = []
-    placed: set[int] = set()
     for _ in range(g.n):
-        v = max(
-            (v for v in range(g.n) if v not in placed),
-            key=lambda v: (
-                sum(1 for e in g.edges
-                    if v in e and all(u in placed or u == v for u in e)),
-                g.degrees[v],
-            ),
-        )
+        v = max(rest, key=lambda v: (closed[v], len(incident[v])))
+        rest.remove(v)
         order.append(v)
-        placed.add(v)
+        for ei in incident[v]:
+            waiting[ei] -= 1
+            free[ei] -= v
+            if waiting[ei] == 1:
+                closed[free[ei]] += 1
     return order
 
 

@@ -2,7 +2,9 @@
 quotient equality, evaluation, text format."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +33,7 @@ from hypalg import (
     unit,
 )
 from hypalg import algebra
-from hypalg.graphs import canonical
+from hypalg.graphs import _moved, canonical
 from oracles import brute_class, brute_lift, brute_nind, brute_product, burnside_class_count
 from property_suites import run_alg_equal_one_order
 
@@ -252,6 +254,80 @@ def test_aut_lists_the_product_of_the_factor_groups():
         assert sorted(tuple(sorted(p[v] for v in e)) for e in union) == list(union)
 
 
+def _orbit_subset_cases():
+    """(free, maps, groups) inputs of `_orbit_subsets`: the plain loop, the
+    groups `_aut` lists for small graphs and products, and random
+    constraint groups closed under the group."""
+    rng = random.Random("orbit subsets")
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    yield pairs, (), ()
+    # the identity alone, with a constraint group: the depth-first search
+    yield pairs, [(0, 1, 2, 3)], [frozenset(pairs[:2])]
+    factor_lists = [
+        (P2,),
+        (Graph(2, 4, None, ((0, 1), (2, 3))),),
+        (Graph(2, 4, (0, 1, 0, 1), ((0, 1),)),),
+        (Graph(3, 4, None, ((0, 1, 2),)),),
+        (K2, K2),
+        (P2, K2),
+        (empty_graph(2, 3), K2),
+        (K2, Graph(2, 1), Graph(2, 1)),
+        (complete_graph(3, 3), empty_graph(3, 2)),
+    ]
+    for _ in range(12):
+        r, n = rng.choice(((2, 4), (2, 5), (3, 4), (3, 5)))
+        edges = [e for e in combinations(range(n), r) if rng.random() < 0.3]
+        factor_lists.append((Graph(r, n, [rng.randint(0, 1) for _ in range(n)], edges),))
+    for factors in factor_lists:
+        r = factors[0].r
+        maps = algebra._aut(factors)
+        n, edges, cut = 0, set(), []
+        for h in factors:
+            edges |= {tuple(v + n for v in e) for e in h.edges}
+            n += h.n
+            cut.append(n)
+        # non-edges of the union, as in nind; and the r-sets meeting two
+        # factors, as in a product
+        frees = [[e for e in combinations(range(n), r) if e not in edges]]
+        if len(factors) > 1:
+            frees.append([e for e in frees[0] if any(e[0] < c <= e[-1] for c in cut)])
+        for free in frees:
+            if len(free) > 10:
+                continue
+            yield free, maps, ()
+            for _ in range(2):
+                groups = set()
+                for _ in range(rng.randint(1, 3)):
+                    some = rng.sample(free, min(len(free), rng.randint(1, 3)))
+                    groups |= {frozenset(_moved(p, some)) for p in maps}
+                yield free, maps, sorted(groups, key=sorted)
+
+
+def test_orbit_subsets_matches_brute_force():
+    for free, maps, groups in _orbit_subset_cases():
+        index = {e: i for i, e in enumerate(free)}
+
+        def valid(s):
+            return not any(grp <= s for grp in groups)
+
+        seen = set()
+        total = 0
+        for subset, size in algebra._orbit_subsets(free, maps, groups):
+            positions = [index[e] for e in subset]
+            assert positions == sorted(set(positions)), (free, subset)
+            s = frozenset(subset)
+            assert valid(s), (groups, subset)
+            images = {frozenset(_moved(p, subset)) for p in maps} or {s}
+            assert size == len(images), (maps, subset)
+            assert not images & seen, (maps, subset)
+            seen |= images
+            total += size
+        want = sum(
+            valid(frozenset(c)) for k in range(len(free) + 1) for c in combinations(free, k)
+        )
+        assert total == want, (free, maps, groups)
+
+
 def test_nind_canonicalises_one_supergraph_per_orbit(monkeypatch):
     # 3K2: 12 missing pairs under a group of order 48. One canonical form per
     # orbit takes 146 calls; every supergraph took 4,097
@@ -324,6 +400,37 @@ def test_eval_quasirandom_frozen():
     assert eval_quasirandom(unit(2), p) == 1
     with pytest.raises(InputError):
         eval_quasirandom(unit(2), Fraction(3, 2))
+
+
+def test_eval_quasirandom_sums_by_shape():
+    # exactly the term-by-term sum, on combinations where about half of the
+    # shapes (v, e) held by two or more classes cancel to zero
+    rng = random.Random("eval by shape")
+    cancelled = 0
+    for _ in range(60):
+        r, u = rng.randint(1, 3), rng.randint(1, 3)
+        coeffs = {}
+        for _ in range(rng.randint(1, 10)):
+            n = rng.randint(0, 4)
+            labels = [rng.randrange(u) for _ in range(n)]
+            edges = [e for e in combinations(range(n), r) if rng.random() < 0.4]
+            g = canonical(Graph(r, n, labels, edges))[0]
+            coeffs[g] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
+        shapes = {}
+        for g in coeffs:
+            shapes.setdefault((g.n, g.e), []).append(g)
+        for gs in shapes.values():
+            if len(gs) > 1 and rng.random() < 0.5:
+                coeffs[gs[-1]] = -sum(coeffs[g] for g in gs[:-1])
+                cancelled += 1
+        f = LinComb(r, set(range(u)), coeffs)
+        for p in [Fraction(0), Fraction(1), Fraction(rng.randint(1, 9), 10)]:
+            want = Fraction(0)
+            for g, c in f.coeffs.items():
+                slots = math.comb(g.n, r)
+                want += c * p**g.e * (1 - p) ** (slots - g.e) * Fraction(1, u) ** g.n
+            assert eval_quasirandom(f, p) == want, (f, p)
+    assert cancelled >= 10
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, "1/2"])

@@ -1,5 +1,8 @@
 """Graph values, canonical representatives, isomorphism, text format."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -75,6 +78,29 @@ def test_edge_normalization():
     assert g.e == 2
     assert g.has_edge((3, 1))
     assert not g.has_edge((0, 1))
+
+
+def test_hash_is_set_at_construction():
+    # every way of building the value stores the hash of its fields before
+    # anything asks for it, and the hash is no dataclass field
+    r, n, labels, edges = 3, 5, (0, 1, 0, 2, 1), ((0, 1, 2), (1, 3, 4))
+    g = Graph(r, n, labels, ((4, 3, 1), (2, 1, 0), (1, 0, 2)))
+    built = [
+        g,
+        Graph._trusted(r, n, labels, edges),
+        dataclasses.replace(g),
+        copy.copy(g),
+        copy.deepcopy(g),
+        pickle.loads(pickle.dumps(g)),
+    ]
+    want = hash((r, n, labels, edges))
+    for h in built:
+        assert vars(h)["_hash"] == want
+        assert hash(h) == want
+        assert h == g and repr(h) == "graph{r=3;n=5;l=0,1,0,2,1;e=(0 1 2)(1 3 4)}"
+    other = dataclasses.replace(g, edges=edges[:1])
+    assert hash(other) == hash((r, n, labels, edges[:1])) and other != g
+    assert [f.name for f in dataclasses.fields(Graph)] == ["r", "n", "labels", "edges"]
 
 
 def test_degrees():
