@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import Graph, _ints, _maps, _moved, canonical, graph_from_text, graph_to_text
+from .graphs import _INT, Graph, _ints, _maps, _moved, canonical, graph_from_text, graph_to_text
 
 __all__ = [
     "LinComb",
@@ -482,7 +482,11 @@ def extend_label_set(f, label_set) -> LinComb:
 # ---------------------------------------------------------------------------
 # text format
 
-_COEFF_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)\*")
+# a term is a rational times a graph literal, whose own grammar
+# `graph_from_text` checks; a sign goes before the first term or between two
+_TERM = rf"({_INT}(?:/[1-9][0-9]*)?)\*(graph\{{[^{{}}]*\}})"
+_LINCOMB_RE = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
+_TERM_RE = re.compile(rf"(-| - | \+ |){_TERM}")
 
 
 def _signed_sum(terms) -> str:
@@ -499,49 +503,32 @@ def lincomb_to_text(f: LinComb) -> str:
 
 
 def lincomb_from_text(text: str, r: int = None, label_set=None) -> LinComb:
-    """Parse the printer's format. The label set is not encoded in the
-    text, so pass it explicitly to get anything beyond labels-seen + {0}."""
-    s = text.strip()
+    """Parse `0` or `-?c*G( [+-] c*G)*`: rationals c (ASCII integers, a
+    positive denominator) times graph literals G, which need not be
+    canonical; repeated terms are summed. The label set is not encoded in
+    the text, so pass it explicitly to get anything beyond labels-seen + {0}."""
     if r is not None:
         (r,) = _ints((r,), "uniformity", 1)
-    if s == "0":
+    if text == "0":
         if r is None:
             raise InputError("cannot infer uniformity of the zero element")
         return LinComb.zero(r, label_set if label_set is not None else {0})
+    if _LINCOMB_RE.fullmatch(text) is None:
+        raise InputError(
+            f"not a combination such as '-1/2*graph{{...}} + 3*graph{{...}}' "
+            f"(integer or fraction coefficients, positive denominators): {text!r}"
+        )
+    terms = [
+        (graph_from_text(m[3]), Fraction(m[2]) * (-1 if "-" in m[1] else 1))
+        for m in _TERM_RE.finditer(text)
+    ]
+    if r is None:
+        r = terms[0][0].r
     coeffs: dict[Graph, Fraction] = {}
-    pos = 0
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        pos = 1
-        while pos < len(s) and s[pos] == " ":
-            pos += 1
-    while True:
-        m = _COEFF_RE.match(s, pos)
-        if m is None:
-            raise InputError(f"expected '<rational>*' at position {pos} in {text!r}")
-        c = sign * Fraction(m.group(1))
-        pos = m.end()
-        depth = s.find("}", pos)
-        if not s.startswith("graph{", pos) or depth == -1:
-            raise InputError(f"expected graph literal at position {pos} in {text!r}")
-        g = graph_from_text(s[pos : depth + 1])
-        pos = depth + 1
-        if r is None:
-            r = g.r
-        elif g.r != r:
+    for g, c in terms:
+        if g.r != r:
             raise InputError(f"mixed uniformities {r} and {g.r} in {text!r}")
-        coeffs[g] = coeffs.get(g, Fraction(0)) + c
-        if pos == len(s):
-            break
-        m2 = re.match(r" ([+-]) ", s[pos:])
-        if m2 is None:
-            raise InputError(f"expected ' + ' or ' - ' at position {pos} in {text!r}")
-        sign = 1 if m2.group(1) == "+" else -1
-        pos += 3
+        coeffs[g] = coeffs.get(g, 0) + c
     if label_set is None:
-        label_set = set()
-        for g in coeffs:
-            label_set |= set(g.labels)
-        label_set |= {0}
+        label_set = {0}.union(*(g.labels for g in coeffs))
     return LinComb(r, label_set, coeffs)

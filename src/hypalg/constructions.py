@@ -19,7 +19,6 @@ base graph).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -36,6 +35,7 @@ from .functors import (
 from .graphs import (
     Graph,
     Injection,
+    _groups,
     _ints,
     graph_from_text,
     graph_to_text,
@@ -467,8 +467,10 @@ def scheme_to_text(scheme: SubdivisionScheme) -> str:
 
 def scheme_from_text(text: str) -> SubdivisionScheme:
     """Parse a scheme file: vertex gadget, edge gadget, then a `sets=` line
-    naming each block's vertices in order. Blocks need not sit at the
-    writer's positions; the edge gadget is renumbered so they do."""
+    naming each block's vertices in order, as a run of `(a b c)` groups in
+    the grammar of a graph literal's edges. Lines are stripped, and blank
+    and `#` lines skipped. Blocks need not sit at the writer's positions;
+    the edge gadget is renumbered so they do."""
     graphs: list[Graph] = []
     sets_line = None
     for raw in text.splitlines():
@@ -487,17 +489,7 @@ def scheme_from_text(text: str) -> SubdivisionScheme:
             "and one sets= line"
         )
     f_v, f_e = graphs
-    groups = re.findall(r"\(([^()]*)\)", sets_line)
-    if "".join(f"({g})" for g in groups) != sets_line:
-        raise InputError(f"bad sets= line: {sets_line!r}")
-    blocks = []
-    for grp in groups:
-        try:
-            blocks.append(tuple(int(x) for x in grp.split()))
-        except ValueError:
-            raise InputError(f"bad block {grp!r} in sets= line") from None
-    if not blocks:
-        raise InputError("sets= line declares no blocks")
+    blocks = _groups(sets_line)
     m = f_v.n
     for size in map(len, blocks):
         if size != m:
@@ -507,7 +499,7 @@ def scheme_from_text(text: str) -> SubdivisionScheme:
     flat = [v for block in blocks for v in block]
     if len(set(flat)) != len(flat):
         raise InputError("blocks overlap in sets= line")
-    if any(v < 0 or v >= f_e.n for v in flat):
+    if any(v >= f_e.n for v in flat):
         raise InputError("block vertex out of range in sets= line")
     rest = [v for v in range(f_e.n) if v not in set(flat)]
     # renumber so block j occupies j*m..j*m+m-1 and privates come last

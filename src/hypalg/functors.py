@@ -43,7 +43,7 @@ from itertools import combinations, product as iter_product
 
 from .algebra import LinComb, _add_tallied, _aut, _label_set, _orbit_subsets, alg_equal, product
 from .errors import InputError, ResourceError
-from .graphs import Graph, Injection, _ints, _moved, canonical
+from .graphs import _INT, Graph, Injection, _ints, _moved, canonical
 
 __all__ = [
     "ConstF",
@@ -465,7 +465,10 @@ def check_multiplicative(op: Operator, f: LinComb, g: LinComb) -> bool:
 # ---------------------------------------------------------------------------
 # functor expressions
 
-_TOKEN_RE = re.compile(r"\s*(sub|const|u|x|\(|\)|,|\d+)")
+# ASCII whitespace may surround every token
+_TOKEN = rf"\s*(sub|const|u|x|[(),]|{_INT})"
+_TOKEN_RE = re.compile(_TOKEN, re.ASCII)
+_TOKENS_RE = re.compile(rf"(?:{_TOKEN})*\s*", re.ASCII)
 
 
 def functor_to_text(eta) -> str:
@@ -481,19 +484,16 @@ def functor_to_text(eta) -> str:
 
 
 def functor_from_text(text: str):
-    """Parse `sub(k)`, `const(s)`, `u(A,B)`, `x(A,B)` expressions.
+    """Parse `sub(k)`, `const(s)`, `u(A,B)`, `x(A,B)` expressions: k and s
+    are ASCII integers without leading zeros, and ASCII whitespace may
+    surround any token.
 
     `const(s)` denotes the constant set {0..s-1}; round-trips with
     functor_to_text for functors built that way.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise InputError(f"bad functor expression at position {pos}: {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+    if _TOKENS_RE.fullmatch(text) is None:
+        raise InputError(f"bad functor expression: {text!r}")
+    tokens = _TOKEN_RE.findall(text)
 
     def parse(i: int):
         if i >= len(tokens):

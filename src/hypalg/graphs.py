@@ -27,10 +27,13 @@ The text format is a single line::
 
     graph{r=2;n=4;l=;e=(0 1)(0 3)(1 2)(2 3)}
 
-with `l=` empty meaning all labels zero, and the edge list strictly
-increasing within each edge and lexicographically sorted overall. The
-printer always emits this normal form and the parser accepts nothing else,
-so round-trips are bit-exact.
+Integers are ASCII digits with no leading zeros (`0`, `7`, `12`); only a
+label takes a leading `-`. `l=` lists the labels, comma-separated, and is
+empty when all are zero; `e=` is a run of `(a b c)` groups, one space
+between vertices and nothing between groups. A literal is accepted
+exactly when `graph_to_text` prints it back character for character, so
+edges increase within each edge and are sorted without repeats, nothing
+surrounds the literal, and round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -554,10 +557,24 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # ---------------------------------------------------------------------------
 # text format
 
+# ASCII integers without leading zeros, and runs of `(a b c)` groups of
+# them: the grammar pieces shared by the graph, combination, functor and
+# scheme formats. An integer is a whole digit run, so no match can split a
+# run in two, and backtracking over a long run stays linear.
+_INT = r"(?:0|[1-9][0-9]*)(?![0-9])"
+_GROUPS = rf"(?:\({_INT}(?: {_INT})*\))*"
+_GROUPS_RE = re.compile(_GROUPS)
 _GRAPH_RE = re.compile(
-    r"^graph\{r=(\d+);n=(\d+);l=([^;{}]*);e=((?:\([^()]*\))*)\}$"
+    rf"graph\{{r=({_INT});n=({_INT});l=((?:-?{_INT}(?:,-?{_INT})*)?);e=({_GROUPS})\}}"
 )
-_EDGE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _groups(text: str) -> list[tuple[int, ...]]:
+    """The int tuples of a run of `(a b c)` groups; `InputError` if the
+    text is not one."""
+    if _GROUPS_RE.fullmatch(text) is None:
+        raise InputError(f"not a run of (a b c) groups: {text!r}")
+    return [tuple(map(int, g.split(" "))) for g in re.findall(r"\(([^()]*)\)", text)]
 
 
 def graph_to_text(g: Graph) -> str:
@@ -570,28 +587,15 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    m = _GRAPH_RE.match(text.strip())
+    """The graph of a literal that full-matches the grammar and prints back
+    to itself; anything else raises `InputError`."""
+    m = _GRAPH_RE.fullmatch(text)
     if m is None:
         raise InputError(f"not a graph literal: {text!r}")
-    r, n = int(m.group(1)), int(m.group(2))
-    lpart, epart = m.group(3), m.group(4)
-    if lpart == "":
-        labels = None
-    else:
-        try:
-            labels = tuple(int(x) for x in lpart.split(","))
-        except ValueError:
-            raise InputError(f"bad label list {lpart!r}") from None
-    edges = []
-    for em in _EDGE_RE.finditer(epart):  # _GRAPH_RE admits only (...) groups
-        parts = em.group(1).split()
-        try:
-            e = tuple(int(x) for x in parts)
-        except ValueError:
-            raise InputError(f"bad edge {em.group(0)!r}") from None
-        if list(e) != sorted(set(e)):
-            raise InputError(f"edge {e} must be strictly increasing")
-        edges.append(e)
-    if edges != sorted(edges) or len(set(edges)) != len(edges):
-        raise InputError("edge list must be lexicographically sorted, no repeats")
-    return Graph(r, n, labels, tuple(edges))
+    r, n, lpart, epart = m.groups()
+    labels = tuple(map(int, lpart.split(","))) if lpart else None
+    g = Graph(int(r), int(n), labels, _groups(epart))
+    printed = graph_to_text(g)
+    if printed != text:
+        raise InputError(f"graph literal {text!r} is not in normal form {printed!r}")
+    return g

@@ -234,10 +234,11 @@ def verify_tensor_power(g: Graph, s: int, budget: int = 1 << 20) -> TheoremRepor
         rhs,
     )
     sub = subdivide(scheme, g)
+    # both put vertex (v, i) at index v*s + i, so the graphs are equal
     report.add(
         f"subdividing with the parallel gadget yields {s} disjoint copies",
         CONSTRUCT,
-        is_isomorphic(sub, box_product(g, empty_graph(2, s))),
+        sub == box_product(g, empty_graph(2, s)),
         f"{sub.n} vertices, {len(sub.edges)} edges",
     )
     report.wall_time = time.perf_counter() - t0
@@ -339,12 +340,12 @@ def verify_box(g: Graph, p_samples=None, budget: int = 1 << 20) -> TheoremReport
     report = TheoremReport("box-product-chain")
     scheme = box_scheme()
     sub = subdivide(scheme, g)
-    boxed = box_product(g, complete_graph(2, 2))
+    # both put vertex (v, i) at index v*2 + i, so the graphs are equal
     report.add(
         f"subdividing {g!r} with the parallel gadget gives its box product "
         f"with an edge",
         CONSTRUCT,
-        is_isomorphic(sub, boxed),
+        sub == box_product(g, complete_graph(2, 2)),
         f"{sub.n} vertices, {len(sub.edges)} edges",
     )
 

@@ -503,6 +503,11 @@ def test_lincomb_text_label_set():
         "1*graph{r=2;n=2;l=;e=} + 1*graph{r=3;n=3;l=;e=}",  # mixed r
         "0",  # no uniformity derivable
         "1.5*graph{r=2;n=2;l=;e=}",
+        "1/0*graph{r=2;n=2;l=;e=(0 1)}",  # zero denominator
+        "01*graph{r=2;n=2;l=;e=}",
+        "1*graph{r=2;n=2;l=0,0;e=}",  # the literal does not print back
+        "- 1*graph{r=2;n=2;l=;e=}",
+        " 1*graph{r=2;n=2;l=;e=}",
     ],
 )
 def test_lincomb_text_rejects(text):

@@ -133,6 +133,12 @@ def test_exit_code_two_on_input_errors(capsys):
         ["verify", "box", "--p", "1/4,alpha"],
         ["verify", "box", "--p", ""],
         ["verify", "hyper", "--r", "3", "--m", "2"],
+        [
+            "density",
+            "limit",
+            "1/0*graph{r=2;n=2;l=;e=(0 1)}",
+            "graph{r=2;n=3;l=;e=(0 1)(1 2)}",
+        ],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -242,6 +242,16 @@ def test_subdivide_matches_direct_expansions():
 def test_subdivide_matches_box_product():
     for g in [path_graph(2), cycle_graph(4)]:
         assert subdivide(box_scheme(), g) == box_product(g, K2)
+    # verify_box and verify_tensor_power compare these graphs by `==`:
+    # subdivide and box_product both put vertex (v, i) at index v*m + i
+    rng = random.Random(19001)
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        edges = tuple(e for e in combinations(range(n), 2) if rng.random() < 0.5)
+        g = Graph(2, n, None, edges)
+        assert subdivide(box_scheme(), g) == box_product(g, K2)
+        s = rng.randint(1, 3)
+        assert subdivide(copies_scheme(s), g) == box_product(g, Graph(2, s))
 
 
 def test_crossing_differs_from_box():
@@ -421,6 +431,12 @@ def test_scheme_text_accepts_scrambled_block_positions():
         "sets=(0)(1)\nsets=(0)(1)\n",
         # only the first block fits the gadget
         "graph{r=2;n=2;l=;e=}\ngraph{r=2;n=4;l=;e=(0 2)(1 3)}\nsets=(0 1)(2)\n",
+        # blocks in the grammar of a graph literal's edges only
+        "graph{r=2;n=1;l=;e=}\ngraph{r=2;n=2;l=;e=(0 1)}\nsets=(0)(01)\n",
+        "graph{r=2;n=1;l=;e=}\ngraph{r=2;n=2;l=;e=(0 1)}\nsets=( 0)(1)\n",
+        "graph{r=2;n=1;l=;e=}\ngraph{r=2;n=2;l=;e=(0 1)}\nsets=(0)(１)\n",
+        # a gadget literal that does not print back to itself
+        "graph{r=2;n=1;l=0;e=}\ngraph{r=2;n=2;l=;e=(0 1)}\nsets=(0)(1)\n",
     ],
 )
 def test_scheme_text_rejects(text):

@@ -117,6 +117,11 @@ def test_functor_text_round_trip():
     for eta in cases:
         assert functor_from_text(functor_to_text(eta)) == eta
     assert functor_to_text(box_scheme().eta()) == "u(x(sub(1),const(2)),x(sub(2),const(0)))"
+    # whitespace may surround every token, at both ends too
+    assert functor_from_text("sub(1) ") == SubsetsF(1)
+    assert functor_from_text("\tu ( sub(1) ,const( 2 ) )\n") == UnionF(
+        SubsetsF(1), ConstF((0, 1))
+    )
 
 
 @pytest.mark.parametrize(
@@ -133,6 +138,8 @@ def test_functor_text_round_trip():
         "u(sub(1),sub(2)",  # no closing ')'
         ")",  # unexpected token
         "sub(1) sub(2)",  # trailing tokens
+        "sub(１)",  # full-width digit
+        "sub(01)",  # leading zero
     ],
 )
 def test_functor_text_rejects(text):

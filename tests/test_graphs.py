@@ -590,6 +590,15 @@ def test_text_round_trip():
         "graph{r=2;n=2;l=;e=(0 a)}",
         "graph{r=2;n=2;l=0,a;e=}",  # bad label list
         "notagraph",
+        # parse at face value but do not print back to themselves
+        "graph{r=2;n=2;l=0,0;e=}",  # all-zero labels are written l=
+        "graph{r=2;n=2;l=;e=( 0 1 )}",
+        "graph{r=2;n=2;l=;e=(+0 1)}",
+        "graph{r=２;n=2;l=;e=}",  # full-width digit
+        "graph{r=2;n=02;l=;e=}",  # leading zero
+        "graph{r=2;n=2;l=-0,1;e=}",
+        "graph{r=2;n=2;l=;e=(0  1)}",
+        " graph{r=2;n=2;l=;e=(0 1)}\n",
     ],
 )
 def test_text_rejects(text):
