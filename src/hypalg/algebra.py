@@ -273,10 +273,11 @@ def _aut(factors) -> list:
     """Aut(F_1) x ... x Aut(F_k) on the disjoint union of the factors, each
     placed after the ones before it: every element as its tuple of images,
     the identity included. A factor with |Aut| = 1 is not searched; the
-    factors are class representatives, so |Aut| is a cache hit."""
+    factors are class representatives, so |Aut| is a cache hit. `_maps`
+    checks edges only, which decides isomorphism (`is_isomorphic`)."""
     maps, shift = [()], 0
     for h in factors:
-        own = _maps(h, h) if canonical(h)[1] > 1 else [range(h.n)]
+        own = _maps(h, h, induced=False) if canonical(h)[1] > 1 else [range(h.n)]
         own = [tuple(shift + v for v in t) for t in own]
         maps = [s + t for s in maps for t in own]
         shift += h.n
@@ -484,7 +485,7 @@ def extend_label_set(f, label_set) -> LinComb:
 
 # a term is a rational times a graph literal, whose own grammar
 # `graph_from_text` checks; a sign goes before the first term or between two
-_TERM = rf"({_INT}(?:/[1-9][0-9]*)?)\*(graph\{{[^{{}}]*\}})"
+_TERM = rf"({_INT}(?:/(?!0){_INT})?)\*(graph\{{[^{{}}]*\}})"
 _LINCOMB_RE = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
 _TERM_RE = re.compile(rf"(-| - | \+ |){_TERM}")
 

@@ -501,12 +501,9 @@ def scheme_from_text(text: str) -> SubdivisionScheme:
         raise InputError("blocks overlap in sets= line")
     if any(v >= f_e.n for v in flat):
         raise InputError("block vertex out of range in sets= line")
-    rest = [v for v in range(f_e.n) if v not in set(flat)]
     # renumber so block j occupies j*m..j*m+m-1 and privates come last
+    order = flat + sorted(set(range(f_e.n)) - set(flat))
     perm = [0] * f_e.n
-    for j, block in enumerate(blocks):
-        for i, v in enumerate(block):
-            perm[v] = j * m + i
-    for t, v in enumerate(rest):
-        perm[v] = len(flat) + t
+    for i, v in enumerate(order):
+        perm[v] = i
     return SubdivisionScheme(f_v, f_e.relabel_vertices(tuple(perm)), len(blocks))

@@ -486,7 +486,8 @@ def functor_to_text(eta) -> str:
 def functor_from_text(text: str):
     """Parse `sub(k)`, `const(s)`, `u(A,B)`, `x(A,B)` expressions: k and s
     are ASCII integers without leading zeros, and ASCII whitespace may
-    surround any token.
+    surround any token. `u` and `x` nest at most 100 deep, inside the
+    recursion limit.
 
     `const(s)` denotes the constant set {0..s-1}; round-trips with
     functor_to_text for functors built that way.
@@ -495,9 +496,11 @@ def functor_from_text(text: str):
         raise InputError(f"bad functor expression: {text!r}")
     tokens = _TOKEN_RE.findall(text)
 
-    def parse(i: int):
+    def parse(i: int, depth: int):
         if i >= len(tokens):
             raise InputError(f"truncated functor expression: {text!r}")
+        if depth > 100:
+            raise InputError(f"functor expression nests deeper than 100: {text!r}")
         head = tokens[i]
         if head == "sub" or head == "const":
             if i + 3 >= len(tokens) or tokens[i + 1] != "(" or tokens[i + 3] != ")":
@@ -509,16 +512,16 @@ def functor_from_text(text: str):
         if head in ("u", "x"):
             if i + 1 >= len(tokens) or tokens[i + 1] != "(":
                 raise InputError(f"expected '(' after {head} in {text!r}")
-            left, j = parse(i + 2)
+            left, j = parse(i + 2, depth + 1)
             if j >= len(tokens) or tokens[j] != ",":
                 raise InputError(f"expected ',' in {head}(...) in {text!r}")
-            right, j2 = parse(j + 1)
+            right, j2 = parse(j + 1, depth + 1)
             if j2 >= len(tokens) or tokens[j2] != ")":
                 raise InputError(f"expected ')' closing {head}(...) in {text!r}")
             return (UnionF(left, right) if head == "u" else ProductF(left, right)), j2 + 1
         raise InputError(f"unexpected token {head!r} in {text!r}")
 
-    eta, end = parse(0)
+    eta, end = parse(0, 0)
     if end != len(tokens):
         raise InputError(f"trailing tokens after functor expression: {text!r}")
     return eta

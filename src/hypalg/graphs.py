@@ -12,16 +12,15 @@ same question pairwise without fixing a representative. The canonical
 search tree is small on sparse graphs: with positions partitioned by
 (label, degree) and present edges preferred, `canonical(cycle_graph(18))`
 takes 3 ms (36 s with a label-only partition and absent edges first) and a
-path on 11 vertices 0.1 ms (2-vCPU Xeon, Python 3.11). A cache miss first
-relabels its graph in (label, degree) order and looks that graph up, so
-the search runs once per relabelled graph: one round of the `reports`
-benchmark (seed 1) makes 28,262 calls, 9,183 misses and 747 searches. But
-the search visits one leaf per automorphism, so
+path on 11 vertices 0.1 ms (2-vCPU Xeon, Python 3.11). Isolated vertices
+keep their places, so one edge on 10 vertices takes 0.05 ms, not 0.34 s.
+But the search visits one leaf per automorphism of the other vertices, so
 `canonical(complete_bipartite(5, 5))` (|Aut| = 28,800) takes about 0.2 s
 where the pairwise search takes under 1 ms. That is why `is_isomorphic`
 does not compare canonical forms. The pairwise search is `_maps`, the one
 vertex-map search, which also serves the algebra and the densities; it
-filters host vertices as bit masks.
+filters host vertices as bit masks and checks every r-set of the pattern
+for an induced map, else only its edges, enough for `is_isomorphic`.
 
 The text format is a single line::
 
@@ -286,7 +285,9 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     that subset together with i is an edge, with present > absent. Labels
     and degrees are isomorphism invariants, so isomorphic graphs map to the
     identical `Graph` value. The automorphism count falls out of the same
-    search: it is the number of relabelings attaining the maximum.
+    search: it is the number of relabelings attaining the maximum. An
+    isolated vertex's segment is all absent anywhere, so it keeps its
+    place, and a (label, 0) cell of k of them multiplies the count by k!.
 
     On a cache miss, g is first relabelled in (label, degree) order, ties
     broken by vertex number, and that graph is looked up; the search runs
@@ -300,13 +301,6 @@ def canonical(g: Graph) -> tuple[Graph, int]:
         return hit
 
     n, r = g.n, g.r
-    if n <= 1 or len(g.edges) == 0:
-        rep = Graph._trusted(r, n, tuple(sorted(g.labels)), g.edges)
-        aut = math.prod(math.factorial(g.labels.count(lab)) for lab in set(g.labels))
-        result = (rep, aut)
-        _CANON_CACHE[g] = _CANON_CACHE[rep] = result
-        return result
-
     degree = [0] * n  # not g.degrees: argument graphs need not keep it
     for e in g.edges:
         for v in e:
@@ -326,8 +320,8 @@ def canonical(g: Graph) -> tuple[Graph, int]:
 
 
 def _search(h: Graph) -> tuple[Graph, int]:
-    """The canonical search on h, a graph with an edge whose vertices are
-    in (label, degree) order; caches the result under the representative."""
+    """The canonical search on h, a graph whose vertices are in (label,
+    degree) order; caches the result under the representative."""
     n, r = h.n, h.r
     # Segments are integers. An edge whose other r-1 vertices sit at new
     # positions c_0 < ... < c_{r-2} sets bit sum_t C(n-1-c_t, r-1-t), the
@@ -349,36 +343,39 @@ def _search(h: Graph) -> tuple[Graph, int]:
         if k == 0:  # r = 1: the edge alone is the segment
             seg[e[0]] = 1
     # old vertices usable at each new position: h's (label, degree) cells
-    # are runs of consecutive vertices
+    # are runs of consecutive vertices; isolated ones keep their places
     key = [(h.labels[v], len(incident[v])) for v in range(n)]
     slots = [range(bisect_left(key, c), bisect_right(key, c)) for c in key]
+    todo = [i for i in range(n) if key[i][1]]  # the positions searched
+    isolated = math.prod(math.factorial(key.count(c)) for c in set(key) if not c[1])
     placed = [0] * len(h.edges)  # placed vertices per edge
     index = [0] * len(h.edges)  # bit index of those vertices' positions
     free = [sum(e) for e in h.edges]  # sum of unplaced vertices per edge
     pos = [-1] * n  # old vertex -> new position, -1 while unplaced
-    perm = [0] * n  # new position -> old vertex
-    best = [-1] * n
-    best_perm = [0] * n
+    perm = list(range(n))  # new position -> old vertex
+    best = [-1] * len(todo)
+    best_perm = perm[:]
     count = 0
 
-    def dfs(i: int) -> None:
+    def dfs(d: int) -> None:
         nonlocal count
-        if i == n:
+        if d == len(todo):
             count += 1
             best_perm[:] = perm
             return
+        i = todo[d]
         # only candidates with the greatest segment can reach the maximum;
         # each of them may, so all are searched
         cands = [v for v in slots[i] if pos[v] < 0]
         high = max([seg[v] for v in cands])
-        ref = best[i]
+        ref = best[d]
         if ref < 0:
-            best[i] = high
+            best[d] = high
         elif high < ref:
             return
         elif high > ref:
-            best[i] = high
-            best[i + 1 :] = [-1] * (n - 1 - i)
+            best[d] = high
+            best[d + 1 :] = [-1] * (len(todo) - 1 - d)
             count = 0
         rank = binom[n - 1 - i]
         for v in cands:
@@ -394,7 +391,7 @@ def _search(h: Graph) -> tuple[Graph, int]:
                     index[ei] += rank[k - t]
                     if t + 1 == k:
                         seg[free[ei]] += 1 << index[ei]
-            dfs(i + 1)
+            dfs(d + 1)
             for ei in incident[v]:
                 t = placed[ei] - 1
                 placed[ei] = t
@@ -410,7 +407,7 @@ def _search(h: Graph) -> tuple[Graph, int]:
     for i, old in enumerate(best_perm):
         new[old] = i
     rep = Graph._trusted(r, n, h.labels, tuple(sorted(_moved(new, h.edges))))
-    result = (rep, count)
+    result = (rep, count * isolated)
     _CANON_CACHE[rep] = result
     return result
 
@@ -455,8 +452,9 @@ def _maps(g: Graph, h: Graph, induced: bool = True, injective: bool = True):
     vertices of g are placed in `_greedy_order`. Host vertices are bits,
     and a vertex's candidates are its label's mask, minus the used mask
     when `injective`, ANDed with the link mask (the completions to an edge
-    of h) of the images of each r-set it closes, or with its complement for
-    a non-edge. Repeated images have no link and no link holds its own
+    of h) of the images of each r-set to check that it closes, or with its
+    complement for a non-edge: every r-set of g with `induced`, else only
+    g's edges. Repeated images have no link and no link holds its own
     vertices, so an r-set mapped onto fewer than r vertices is a non-edge.
     """
     link: dict[tuple[int, ...], int] = {}  # (r-1)-set -> completions
@@ -468,16 +466,14 @@ def _maps(g: Graph, h: Graph, induced: bool = True, injective: bool = True):
     for w, lab in enumerate(h.labels):
         of_label[lab] = of_label.get(lab, 0) | 1 << w
     order = _greedy_order(g)
-    # per position: the vertex, its label's mask, and the r-sets it closes
-    # as (the other r-1 vertices, whether an edge of g)
-    steps = []
-    for p, u in enumerate(order):
-        closed = []
-        for rest in combinations(order[:p], g.r - 1):
-            is_edge = tuple(sorted(rest + (u,))) in g.edge_set
-            if is_edge or induced:
-                closed.append((rest, is_edge))
-        steps.append((u, of_label.get(g.labels[u], 0), closed))
+    at = {u: p for p, u in enumerate(order)}  # vertex -> position
+    # per position: the r-sets to check that its vertex closes, as (the
+    # other r-1 vertices, whether an edge of g)
+    closes = [[] for _ in order]
+    for s in combinations(range(g.n), g.r) if induced else g.edges:
+        last = max(s, key=at.get)
+        closes[at[last]].append(([v for v in s if v != last], s in g.edge_set))
+    steps = [(u, of_label.get(g.labels[u], 0), closes[p]) for p, u in enumerate(order)]
     img = [0] * g.n
 
     def place(p: int, used: int):
@@ -503,11 +499,13 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether some label-preserving vertex bijection maps the edges of g
     onto those of h. Graphs of different uniformity or with different
     sorted (degree, label) pairs are told apart without a search; otherwise
-    `_maps` looks for one induced injection."""
+    `_maps` looks for one injective map sending edges to edges. Equal pairs
+    mean equal vertex and edge counts (degree sum over r), so such a map is
+    a bijection taking g's edges onto h's: non-edges need no check."""
     return (
         g.r == h.r
         and sorted(zip(g.degrees, g.labels)) == sorted(zip(h.degrees, h.labels))
-        and next(_maps(g, h), None) is not None
+        and next(_maps(g, h, induced=False), None) is not None
     )
 
 
@@ -560,8 +558,9 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # ASCII integers without leading zeros, and runs of `(a b c)` groups of
 # them: the grammar pieces shared by the graph, combination, functor and
 # scheme formats. An integer is a whole digit run, so no match can split a
-# run in two, and backtracking over a long run stays linear.
-_INT = r"(?:0|[1-9][0-9]*)(?![0-9])"
+# run in two, and backtracking over a long run stays linear. It has at most
+# 4,300 digits, all that `int` reads by default, so none raises `ValueError`.
+_INT = r"(?:0|[1-9][0-9]{0,4299})(?![0-9])"
 _GROUPS = rf"(?:\({_INT}(?: {_INT})*\))*"
 _GROUPS_RE = re.compile(_GROUPS)
 _GRAPH_RE = re.compile(

@@ -508,6 +508,10 @@ def test_lincomb_text_label_set():
         "1*graph{r=2;n=2;l=0,0;e=}",  # the literal does not print back
         "- 1*graph{r=2;n=2;l=;e=}",
         " 1*graph{r=2;n=2;l=;e=}",
+        # more digits than `int` reads
+        pytest.param(f"{'1' * 5000}*graph{{r=2;n=2;l=;e=}}", id="5000-digit numerator"),
+        pytest.param(f"1/{'1' * 5000}*graph{{r=2;n=2;l=;e=}}", id="5000-digit divisor"),
+        pytest.param(f"1*graph{{r=2;n={'1' * 5000};l=;e=}}", id="5000-digit n"),
     ],
 )
 def test_lincomb_text_rejects(text):

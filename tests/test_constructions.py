@@ -133,6 +133,20 @@ def test_check_symmetry_tests_both_generators():
         assert not brute_check_symmetry(f, sets)
 
 
+def test_edge_gadget_with_many_isolated_privates():
+    # one 4-uniform edge on blocks (0 1) and (2 3), and n - 4 isolated
+    # privates: the symmetry check maps only the gadget's edges
+    text = "graph{r=4;n=2;l=;e=}\ngraph{r=4;n=401;l=;e=(0 1 2 3)}\nsets=(0 1)(2 3)\n"
+    assert scheme_from_text(text).s_prime == 397
+    sets = ((0, 1), (2, 3))
+    verdicts = []
+    for edge in ((0, 1, 2, 3), (0, 2, 4, 5), (0, 1, 2, 4), (0, 3, 4, 5)):
+        f = Graph(4, 6, None, (edge,))
+        verdicts.append(check_symmetry(f, sets))
+        assert verdicts[-1] == brute_check_symmetry(f, sets), edge
+    assert verdicts == [True, True, False, False]
+
+
 def test_three_block_scheme_from_text_checks_symmetry():
     # block j is (a_j, b_j) = (j, j + 3); every b_j is joined to every other a
     text = (

@@ -117,6 +117,9 @@ def test_functor_text_round_trip():
     for eta in cases:
         assert functor_from_text(functor_to_text(eta)) == eta
     assert functor_to_text(box_scheme().eta()) == "u(x(sub(1),const(2)),x(sub(2),const(0)))"
+    # `u` and `x` nest up to 100 deep
+    deep = "u(" * 100 + "sub(1)" + ",sub(1))" * 100
+    assert functor_to_text(functor_from_text(deep)) == deep
     # whitespace may surround every token, at both ends too
     assert functor_from_text("sub(1) ") == SubsetsF(1)
     assert functor_from_text("\tu ( sub(1) ,const( 2 ) )\n") == UnionF(
@@ -140,6 +143,9 @@ def test_functor_text_round_trip():
         "sub(1) sub(2)",  # trailing tokens
         "sub(１)",  # full-width digit
         "sub(01)",  # leading zero
+        pytest.param(f"sub({'1' * 5000})", id="5000-digit argument"),
+        pytest.param("u(" * 1000 + "sub(1)" + ",sub(1))" * 1000, id="1000 nested u"),
+        pytest.param("x(" * 101 + "sub(1)" + ",sub(1))" * 101, id="101 nested x"),
     ],
 )
 def test_functor_text_rejects(text):

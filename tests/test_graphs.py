@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -391,6 +392,18 @@ def test_canonical_matches_reference_search():
     rng = random.Random(20412)
     graphs += [_random_graph(rng, 2, rng.choice((6, 7)), 3) for _ in range(150)]
     graphs += [_random_graph(rng, r, 6, 2) for r in (3, 4, 5) for _ in range(30)]
+    # r = 1, and isolated vertices in several labels, which keep their
+    # places in the search
+    for n in range(6):
+        for bits in range(1 << n):
+            labels = tuple(rng.randrange(2) for _ in range(n))
+            edges = tuple((v,) for v in range(n) if bits >> v & 1)
+            graphs.append(Graph(1, n, labels, edges))
+    for _ in range(60):
+        g = _random_graph(rng, rng.choice((2, 3)), rng.randint(2, 4), 3)
+        extra = tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
+        g = Graph(g.r, g.n + len(extra), g.labels + extra, g.edges)
+        graphs.append(_relabeled(rng, g))
     to_ref: dict = {}
     from_ref: dict = {}
     for g in graphs:
@@ -409,6 +422,11 @@ def test_canonical_sparse_symmetric_graphs():
     # a minute under a label-only partition with absent-first segments
     for k in range(3, 19):
         assert canonical(cycle_graph(k))[1] == 2 * k
+    # isolated vertices keep their places: the search once visited each of
+    # the 7.3 million automorphisms of one edge on 12 vertices
+    assert canonical(Graph(2, 12, None, ((0, 1),)))[1] == 2 * math.factorial(10)
+    two_labels = Graph(2, 12, (0,) * 6 + (1,) * 6, ((0, 6),))
+    assert canonical(two_labels)[1] == math.factorial(5) ** 2
 
 
 def _relabeled(rng, g):
@@ -599,6 +617,9 @@ def test_text_round_trip():
         "graph{r=2;n=2;l=-0,1;e=}",
         "graph{r=2;n=2;l=;e=(0  1)}",
         " graph{r=2;n=2;l=;e=(0 1)}\n",
+        # more digits than `int` reads
+        pytest.param(f"graph{{r=2;n={'1' * 5000};l=;e=}}", id="5000-digit n"),
+        pytest.param(f"graph{{r=2;n=2;l=0,{'1' * 5000};e=}}", id="5000-digit label"),
     ],
 )
 def test_text_rejects(text):
