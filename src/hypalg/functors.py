@@ -455,8 +455,10 @@ def operator_apply(op: Operator, f) -> LinComb:
 
 
 def check_multiplicative(op: Operator, f: LinComb, g: LinComb) -> bool:
-    """Whether the operator respects the product on this pair  — guaranteed
-    when the functor has no constant part, possibly false otherwise."""
+    """Whether the operator respects the product on this pair — guaranteed
+    when the functor has no constant part, |eta([0])| = 0, possibly false
+    otherwise. Every `SubdivisionScheme` meets that hypothesis, so on its
+    operator this checks the implementation, not the lemma."""
     lhs = operator_apply(op, product(f, g))
     rhs = product(operator_apply(op, f), operator_apply(op, g))
     return alg_equal(lhs, rhs)

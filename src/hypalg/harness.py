@@ -14,6 +14,11 @@ graph must equal the supergraph sum of the graph the report subdivided.
 Their evaluation step reads the same enumerated image: at each sample point
 its quasirandom value must equal the subdivided graph's p^e |U|^-n, since
 the inequality chains through the swap are tight at quasirandom points.
+
+A cited result has no step and is not re-derived: the multiplicativity of
+a scheme operator (the paper's lemma for vertex functors without a constant
+part, which every scheme meets; see `verify_gensubdivision`) and the
+analytic forcing-pair conclusion are named in their reports' docstrings.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .constructions import (
     triangle_scheme,
 )
 from .errors import InputError, ResourceError
-from .functors import Operator, check_multiplicative, operator_apply
+from .functors import operator_apply
 from .graphs import (
     Graph,
     _ints,
@@ -256,9 +261,16 @@ def verify_gensubdivision(
     budget: int = 1 << 20,
 ) -> TheoremReport:
     """The subdivision chain: the scheme operator sends the supergraph sum
-    of g to that of the subdivided graph (exactly), is multiplicative on a
-    probe pair, and its enumerated image evaluates like the subdivided
-    graph's supergraph sum at quasirandom points."""
+    of g to that of the subdivided graph (exactly), and its enumerated image
+    evaluates like the subdivided graph's supergraph sum at quasirandom
+    points.
+
+    The operator is also multiplicative, by the paper's lemma for vertex
+    functors without a constant part, |eta([0])| = 0. Every scheme meets
+    that hypothesis by construction: its eta is
+    u(x(sub(1), const(m)), x(sub(base_r), const(s'))) with base_r >= 2, and
+    both subset functors are empty on the empty set. The lemma is cited,
+    not checked: no step stands for it."""
     _require_plain(g)
     samples = _normalize_samples(p_samples)
     if scheme.f_v.edges and 0 in g.degrees:
@@ -270,21 +282,6 @@ def verify_gensubdivision(
     report = TheoremReport("generalized-subdivision")
     sub = subdivide(scheme, g)
     op = scheme.operator(budget=budget)
-
-    # multiplicativity probe, first as the smallest enumeration: a single
-    # edge times a point when that fits a small probe budget, otherwise two
-    # points under the full budget, which refuses oversized gadgets early
-    probe_op = Operator(op.tau, min(budget, 1 << 14))
-    probe_f = LinComb.from_graph(complete_graph(scheme.base_r, scheme.base_r))
-    probe_g = point(scheme.base_r, 0)
-    probe_desc = "single edge, single vertex"
-    try:
-        ok_mult = check_multiplicative(probe_op, probe_f, probe_g)
-    except ResourceError:
-        probe_f = probe_g
-        probe_desc = "two single vertices"
-        ok_mult = check_multiplicative(op, probe_f, probe_g)
-
     swap = (
         "preimage sum of the supergraph expansion of {!r} matches the "
         "subdivided graph's{}"
@@ -299,14 +296,6 @@ def verify_gensubdivision(
         swapped = subdivide(scheme, edge)
         note = " (budget covers the single-edge instance only)"
         image = _swap_step(report, swap.format(edge, note), op, edge, swapped)
-    report.add(
-        f"scheme operator is multiplicative on the probe pair ({probe_desc})",
-        EXACT,
-        ok_mult,
-        "operator of the product equals product of the operators"
-        if ok_mult
-        else "operator of the product differs from the product of the operators",
-    )
 
     e_sub = len(sub.edges)
     e_expected = len(g.edges) * len(scheme.f_e.edges) + g.n * len(scheme.f_v.edges)

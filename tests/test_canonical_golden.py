@@ -4,10 +4,10 @@
 is what every stored `LinComb` is keyed by and what every report prints.
 `tests/golden/canonical_values.txt` pins those choices: canonical forms
 with automorphism counts of seeded graphs, `product`, `nind` and `lift` of
-seeded small graphs, and `operator_apply` of the five gensub probe schemes
-on K2, P2 and K2 plus an isolated vertex. The operator images run to
-thousands of characters each, so they are pinned by term count and a
-SHA-256 prefix of their text.
+seeded small graphs, and `operator_apply` of the five schemes that the
+multiplicativity tests use on K2, P2 and K2 plus an isolated vertex. The
+operator images run to thousands of characters each, so they are pinned by
+term count and a SHA-256 prefix of their text.
 
 A change to the search that keeps every representative leaves the file
 byte-identical. An intended change of representatives rewrites it with

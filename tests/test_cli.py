@@ -83,7 +83,7 @@ def test_verify_text_report(capsys):
     assert rc == 0
     assert out.splitlines()[0] == "== generalized-subdivision =="
     assert "[PASS]" in out and "[FAIL]" not in out
-    assert out.splitlines()[-1].startswith("verdict: PASS (4/4 steps)")
+    assert out.splitlines()[-1].startswith("verdict: PASS (3/3 steps)")
 
 
 def test_verify_machine_report(capsys):

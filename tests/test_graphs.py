@@ -540,7 +540,7 @@ def test_relabelings_with_distinct_keys_search_once(monkeypatch):
 
 
 def test_triangle_probe_searches_once_per_relabelled_graph(monkeypatch):
-    # the left side of the triangle scheme's multiplicativity probe: 383
+    # the left side of the triangle scheme's multiplicativity check: 383
     # searches; one per cache miss took 1,892
     calls = _count_searches(monkeypatch)
     op = Operator(triangle_scheme().operator().tau, 2**14)

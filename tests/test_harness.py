@@ -21,6 +21,7 @@ from hypalg import (
     m5_bound,
     m5_direct,
     nind,
+    operator_apply,
     path_graph,
     path_scheme,
     verify_box,
@@ -205,49 +206,45 @@ def test_verify_tensor_power():
         verify_tensor_power(Graph(2, 1, (1,)), 2)
 
 
-def test_verify_gensubdivision_direct_swap():
+def test_verify_gensubdivision_direct_swap(monkeypatch):
+    # multiplicativity is cited, not checked: the swap is the report's one
+    # operator_apply
+    from hypalg import harness
+
+    calls = []
+
+    def counting(op, f):
+        calls.append(f)
+        return operator_apply(op, f)
+
+    monkeypatch.setattr(harness, "operator_apply", counting)
     report = verify_gensubdivision(path_scheme(2), K2)
-    assert report.verdict and len(report.steps) == 4
+    assert report.verdict and len(report.steps) == 3
     assert "single-edge instance" not in report.steps[0].description
-    assert "single edge, single vertex" in report.steps[1].description
+    assert len(calls) == 1 and not hasattr(harness, "check_multiplicative")
 
 
 def test_verify_gensubdivision_budget_fallbacks():
-    # swap falls back to the single-edge instance; probe drops to two points
+    # swap falls back to the single-edge instance
     report = verify_gensubdivision(path_scheme(2), cycle_graph(4), budget=1 << 10)
     assert report.verdict
     assert "single-edge instance" in report.steps[0].description
 
     tier2 = verify_gensubdivision(loose_scheme(3), K2, budget=4)
     assert tier2.verdict
-    assert "two single vertices" in tier2.steps[1].description
-
-
-def test_probe_witness_says_the_sides_differ_on_failure(monkeypatch):
-    from hypalg import harness
-
-    def step(report):
-        return next(s for s in report.steps if "multiplicative" in s.description)
-
-    monkeypatch.setattr(harness, "check_multiplicative", lambda *args: False)
-    report = verify_gensubdivision(path_scheme(2), K2)
-    assert not step(report).passed and not report.verdict
-    assert step(report).witness == (
-        "operator of the product differs from the product of the operators"
-    )
 
 
 def test_verify_gensubdivision_refuses_before_swap_enumeration(monkeypatch):
-    # blowup:4 has 28 slots on a pair of points; the probe's budget check
-    # refuses it before the swap step enumerates any preimage
-    from hypalg import blowup_scheme
+    # blowup:4 on K2 leaves 12 edge slots, 4,096 completions; a 2^11 budget
+    # refuses it before any completion is canonicalised
+    from hypalg import blowup_scheme, functors
 
-    def swap_enumeration(*args, **kwargs):
-        raise AssertionError("swap step ran before the probe refused")
+    def canonicalise(*args, **kwargs):
+        raise AssertionError("a completion was canonicalised before the refusal")
 
-    monkeypatch.setattr("hypalg.harness.operator_apply", swap_enumeration)
-    with pytest.raises(ResourceError, match="leaves 28 undecided edge slots"):
-        verify_gensubdivision(blowup_scheme(4), K2)
+    monkeypatch.setattr(functors, "canonical", canonicalise)
+    with pytest.raises(ResourceError, match="leaves 12 undecided edge slots"):
+        verify_gensubdivision(blowup_scheme(4), K2, budget=1 << 11)
 
 
 @pytest.mark.parametrize(
