@@ -36,6 +36,7 @@ from .constructions import (
 )
 from .densities import hom_density, inj_density, limit_inj_blowup
 from .errors import InputError, ResourceError
+from .functors import DEFAULT_BUDGET
 from .graphs import graph_from_text, graph_to_text
 from .harness import (
     format_report,
@@ -170,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     graphs = {"tensor": K2_TEXT, "gensub": C4_TEXT, "box": K2_TEXT, "hyper": K2_TEXT}
     for name, graph in graphs.items():
         targets[name].add_argument("--graph", default=graph, help="graph literal/file")
-        targets[name].add_argument("--budget", type=int, default=1 << 20)
+    for name in ("tensor", "gensub", "box"):
+        targets[name].add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     for name in ("gensub", "box", "hyper", "goodman"):
         targets[name].add_argument("--p", help="comma-separated sample points")
     targets["tensor"].add_argument("--s", type=int, default=2, help="copy count")
@@ -207,7 +209,6 @@ def _run_verify(args) -> int:
             args.r,
             args.m,
             p_samples=_parse_p_list(args.p),
-            budget=args.budget,
         )
     elif args.target == "goodman":
         report = verify_goodman_lift(p_samples=_parse_p_list(args.p))

@@ -26,7 +26,6 @@ from .algebra import LinComb, UniformRep, extend_label_set, order
 from .errors import InputError
 from .functors import (
     ConstF,
-    Operator,
     ProductF,
     SubsetsF,
     UnionF,
@@ -218,9 +217,6 @@ class SubdivisionScheme:
             vertex_rules=((0, vertex_template),),
             default_label=1,
         )
-
-    def operator(self, budget: int = 1 << 20, labeled: bool = False) -> Operator:
-        return Operator(self.transformation(labeled), budget)
 
 
 def subdivide(scheme: SubdivisionScheme, g: Graph) -> Graph:

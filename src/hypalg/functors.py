@@ -20,17 +20,16 @@ eta([r']) commutes with every permutation of [r'], through its exact
 criterion: the two generators of Sym(r') must map the edge template onto
 itself (see `UpwardTransformation._check_well_defined`).
 
-An `Operator` wraps a transformation with an enumeration budget and maps a
-combination over the output algebra to one over the input algebra by summing,
-for each term G, all graphs H on eta(V_G) with tau(H) = G. It always
-enumerates the completions of G (edge sets and labellings of eta(V_G)) but
-canonicalises only those of one edge set per orbit of Aut(G), weighted by
-the orbit size, through the subset search and the automorphism list that
-products and `nind` share (`algebra._orbit_subsets`, `algebra._aut`).
-`Operator.budget` bounds the completions enumerated, not those
-canonicalised. On nind(g) a subdivision scheme's operator gives
-`nind(subdivide(scheme, g))`, which the harness checks against this
-enumeration.
+`operator_apply` maps a combination over the output algebra of a
+transformation tau to one over its input algebra by summing, for each term
+G, all graphs H on eta(V_G) with tau(H) = G. It always enumerates the
+completions of G (edge sets and labellings of eta(V_G)) but canonicalises
+only those of one edge set per orbit of Aut(G), weighted by the orbit size,
+through the subset search and the automorphism list that products and
+`nind` share (`algebra._orbit_subsets`, `algebra._aut`). Its budget bounds
+the completions enumerated, not those canonicalised. On nind(g) a
+subdivision scheme's transformation gives `nind(subdivide(scheme, g))`,
+which the harness checks against this enumeration.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .graphs import _INT, Graph, Injection, _ints, _moved, canonical
 
 __all__ = [
     "ConstF",
-    "Operator",
     "ProductF",
     "SubsetsF",
     "UnionF",
@@ -322,18 +320,13 @@ def _vertex_label(tau: UpwardTransformation, n: int, edge_set, v: int) -> int:
 # the operator
 
 
-@dataclass(frozen=True)
-class Operator:
-    """A transformation plus an enumeration budget."""
-
-    tau: UpwardTransformation
-    budget: int = 1 << 20
-
-    def __post_init__(self) -> None:
-        _ints((self.budget,), "budget", 1)
+# the completions `operator_apply` enumerates per term unless told otherwise
+DEFAULT_BUDGET = 1 << 20
 
 
-def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
+def _term_preimages(
+    tau: UpwardTransformation, g: Graph, coeff: Fraction, out: dict, budget: int
+) -> None:
     """Add coeff times the class of every graph H on eta([n]) with
     tau(H) = g to `out`, where n = v(g).
 
@@ -359,7 +352,6 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     labellings of E one to one onto those of E', each graph onto an
     isomorphic one.
     """
-    tau = op.tau
     n = g.n
     w = functor_size(tau.eta, n)
 
@@ -408,11 +400,11 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     labelings = sorted(tau.labels)
     k = len(free)
     completions = (1 << k) * len(labelings) ** w
-    if completions > op.budget:
+    if completions > budget:
         raise ResourceError(
             f"term of order {n} leaves {k} undecided edge slots on "
             f"eta([{n}]) (2^{k} edge sets * {len(labelings)}^{w} labellings "
-            f"= {completions} completions; budget {op.budget})"
+            f"= {completions} completions; budget {budget})"
         )
 
     # with no free slot the one edge set is its own orbit
@@ -432,35 +424,39 @@ def _term_preimages(op: Operator, g: Graph, coeff: Fraction, out: dict) -> None:
     _add_tallied(out, coeff, completions())
 
 
-def operator_apply(op: Operator, f) -> LinComb:
-    """Sum of tau-preimages, extended linearly: each term G contributes all
-    graphs H on eta(V_G) with tau(H) = G, found by the completion search."""
+def operator_apply(tau: UpwardTransformation, f, budget: int = DEFAULT_BUDGET) -> LinComb:
+    """The operator of tau: the sum of tau-preimages, extended linearly.
+    Each term G contributes all graphs H on eta(V_G) with tau(H) = G, found
+    by the completion search; a term with more than `budget` completions
+    raises `ResourceError`."""
+    _ints((budget,), "budget", 1)
     if isinstance(f, Graph):
-        f = LinComb.from_graph(f, op.tau.base_labels)
+        f = LinComb.from_graph(f, tau.base_labels)
     if not isinstance(f, LinComb):
         raise InputError(f"expected LinComb or Graph, got {type(f).__name__}")
-    if f.r != op.tau.base_r:
+    if f.r != tau.base_r:
+        raise InputError(f"operator consumes uniformity {tau.base_r}, got {f.r}")
+    if f.label_set != tau.base_labels:
         raise InputError(
-            f"operator consumes uniformity {op.tau.base_r}, got {f.r}"
-        )
-    if f.label_set != op.tau.base_labels:
-        raise InputError(
-            f"operator consumes label set {sorted(op.tau.base_labels)}, "
+            f"operator consumes label set {sorted(tau.base_labels)}, "
             f"got {sorted(f.label_set)}"
         )
     out: dict[Graph, Fraction] = {}
     for g, c in f.coeffs.items():
-        _term_preimages(op, g, c, out)
-    return LinComb._raw(op.tau.r, op.tau.labels, out)
+        _term_preimages(tau, g, c, out, budget)
+    return LinComb._raw(tau.r, tau.labels, out)
 
 
-def check_multiplicative(op: Operator, f: LinComb, g: LinComb) -> bool:
-    """Whether the operator respects the product on this pair — guaranteed
-    when the functor has no constant part, |eta([0])| = 0, possibly false
-    otherwise. Every `SubdivisionScheme` meets that hypothesis, so on its
-    operator this checks the implementation, not the lemma."""
-    lhs = operator_apply(op, product(f, g))
-    rhs = product(operator_apply(op, f), operator_apply(op, g))
+def check_multiplicative(
+    tau: UpwardTransformation, f: LinComb, g: LinComb, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Whether the operator of tau respects the product on this pair —
+    guaranteed when the functor has no constant part, |eta([0])| = 0,
+    possibly false otherwise. Every `SubdivisionScheme` transformation meets
+    that hypothesis, so on one this checks the implementation, not the
+    lemma."""
+    lhs = operator_apply(tau, product(f, g), budget)
+    rhs = product(operator_apply(tau, f, budget), operator_apply(tau, g, budget))
     return alg_equal(lhs, rhs)
 
 

@@ -476,23 +476,41 @@ def _maps(g: Graph, h: Graph, induced: bool = True, injective: bool = True):
     steps = [(u, of_label.get(g.labels[u], 0), closes[p]) for p, u in enumerate(order)]
     img = [0] * g.n
 
-    def place(p: int, used: int):
-        if p == g.n:
-            yield tuple(img)
-            return
-        u, cands, closed = steps[p]
+    def candidates(p: int, used: int) -> int:
+        _, cands, closed = steps[p]
         if injective:
             cands &= ~used
         for rest, is_edge in closed:
             m = link.get(tuple(sorted([img[x] for x in rest])), 0)
             cands &= m if is_edge else ~m
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            img[u] = bit.bit_length() - 1
-            yield from place(p + 1, used | bit)
+        return cands
 
-    return place(0, 0)
+    def place():
+        # depth first, lowest candidate bit first, on an explicit stack:
+        # per position the candidates not yet tried and the used mask
+        if not g.n:
+            yield ()
+            return
+        last = g.n - 1
+        left = [candidates(0, 0)] + [0] * last
+        used = [0] * g.n
+        p = 0
+        while p >= 0:
+            cands = left[p]
+            if not cands:
+                p -= 1
+                continue
+            bit = cands & -cands
+            left[p] = cands ^ bit
+            img[steps[p][0]] = bit.bit_length() - 1
+            if p == last:
+                yield tuple(img)
+            else:
+                p += 1
+                used[p] = used[p - 1] | bit
+                left[p] = candidates(p, used[p])
+
+    return place()
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

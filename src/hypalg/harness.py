@@ -59,7 +59,7 @@ from .constructions import (
     triangle_scheme,
 )
 from .errors import InputError, ResourceError
-from .functors import operator_apply
+from .functors import DEFAULT_BUDGET, operator_apply
 from .graphs import (
     Graph,
     _ints,
@@ -159,13 +159,13 @@ def _exact_step(report, description, lhs: LinComb, rhs: LinComb) -> None:
     report.add(description, EXACT, not diff, witness)
 
 
-def _swap_step(report, description, op, g: Graph, sub: Graph) -> LinComb:
-    """The swap identity on g: the operator's enumerated preimage sum of the
-    supergraph sum of g (over the operator's input labels) equals the
-    supergraph sum of sub, the report's subdivision of g. Returns the
-    enumerated image, for the evaluation step to read."""
-    image = operator_apply(op, extend_label_set(nind(g), op.tau.base_labels))
-    _exact_step(report, description, image, nind(LinComb.from_graph(sub, op.tau.labels)))
+def _swap_step(report, description, tau, g: Graph, sub: Graph, budget: int) -> LinComb:
+    """The swap identity on g: the enumerated preimage sum under tau of the
+    supergraph sum of g (over tau's output labels) equals the supergraph
+    sum of sub, the report's subdivision of g. Returns the enumerated image,
+    for the evaluation step to read."""
+    image = operator_apply(tau, extend_label_set(nind(g), tau.base_labels), budget)
+    _exact_step(report, description, image, nind(LinComb.from_graph(sub, tau.labels)))
     return image
 
 
@@ -219,7 +219,7 @@ def _require_plain(g: Graph) -> None:
 # tensor power
 
 
-def verify_tensor_power(g: Graph, s: int, budget: int = 1 << 20) -> TheoremReport:
+def verify_tensor_power(g: Graph, s: int, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """The parallel-copies operator turns a supergraph sum into its s-th
     product power: preimage enumeration vs repeated algebra product."""
     _require_plain(g)
@@ -227,7 +227,7 @@ def verify_tensor_power(g: Graph, s: int, budget: int = 1 << 20) -> TheoremRepor
     report = TheoremReport(f"tensor-power-s{s}")
     scheme = copies_scheme(s)
     base = nind(g)
-    lhs = operator_apply(scheme.operator(budget=budget), base)
+    lhs = operator_apply(scheme.transformation(), base, budget)
     rhs = unit(2)
     for _ in range(s):
         rhs = product(rhs, base)
@@ -258,7 +258,7 @@ def verify_gensubdivision(
     scheme: SubdivisionScheme,
     g: Graph,
     p_samples=None,
-    budget: int = 1 << 20,
+    budget: int = DEFAULT_BUDGET,
 ) -> TheoremReport:
     """The subdivision chain: the scheme operator sends the supergraph sum
     of g to that of the subdivided graph (exactly), and its enumerated image
@@ -281,21 +281,23 @@ def verify_gensubdivision(
     t0 = time.perf_counter()
     report = TheoremReport("generalized-subdivision")
     sub = subdivide(scheme, g)
-    op = scheme.operator(budget=budget)
+    tau = scheme.transformation()
     swap = (
         "preimage sum of the supergraph expansion of {!r} matches the "
         "subdivided graph's{}"
     )
     try:
-        image = _swap_step(report, swap.format(g, ""), op, g, sub)
+        image = _swap_step(report, swap.format(g, ""), tau, g, sub, budget)
         swapped = sub
     except ResourceError:
-        # the enumeration cross-check only needs to fit on the smallest
-        # instance; for larger bases fall back to a single edge
+        # the cross-check only needs to fit on the smallest instance, the
+        # single edge: fall back to it, unless g is that edge
         edge = complete_graph(scheme.base_r, scheme.base_r)
+        if g == edge:
+            raise
         swapped = subdivide(scheme, edge)
         note = " (budget covers the single-edge instance only)"
-        image = _swap_step(report, swap.format(edge, note), op, edge, swapped)
+        image = _swap_step(report, swap.format(edge, note), tau, edge, swapped, budget)
 
     e_sub = len(sub.edges)
     e_expected = len(g.edges) * len(scheme.f_e.edges) + g.n * len(scheme.f_v.edges)
@@ -315,7 +317,7 @@ def verify_gensubdivision(
 # box product chain
 
 
-def verify_box(g: Graph, p_samples=None, budget: int = 1 << 20) -> TheoremReport:
+def verify_box(g: Graph, p_samples=None, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """The prism chain: subdividing with the two-parallel-edges gadget is
     the box product with an edge, the dump-label operator inverts it
     exactly, the one-vertex class maps to a single edge, and the enumerated
@@ -338,19 +340,20 @@ def verify_box(g: Graph, p_samples=None, budget: int = 1 << 20) -> TheoremReport
         f"{sub.n} vertices, {len(sub.edges)} edges",
     )
 
-    op = scheme.operator(budget=budget, labeled=True)
+    tau = scheme.transformation(labeled=True)
     image = _swap_step(
         report,
         "dump-label preimage sum of the embedded supergraph expansion "
         "matches the subdivided graph's",
-        op,
+        tau,
         g,
         sub,
+        budget,
     )
     _exact_step(
         report,
         "the 0-labeled one-vertex class maps to a single edge",
-        operator_apply(op, point(2, 0, op.tau.base_labels)),
+        operator_apply(tau, point(2, 0, tau.base_labels), budget),
         LinComb.from_graph(complete_graph(2, 2)),
     )
 
@@ -375,10 +378,13 @@ def verify_hypergraph(
     r: int,
     m: int,
     p_samples=None,
-    budget: int = 1 << 20,
 ) -> TheoremReport:
     """The r-uniform expansion chain via the single-edge mixed scheme with
-    blocks of size m and r-2m privates per edge."""
+    blocks of size m and r-2m privates per edge.
+
+    It takes no budget: its rule swaps on g only when at most 12 r-sets of
+    eta([n]) lie beyond g's edges, so that swap has at most 2^12
+    completions; otherwise it swaps on one edge, which has exactly one."""
     _require_plain(g)
     if g.r != 2:
         raise InputError("expansion verification starts from a 2-uniform graph")
@@ -407,8 +413,6 @@ def verify_hypergraph(
             f"{sub.n} vertices, {len(sub.edges)} edges",
         )
 
-    op = scheme.operator(budget=budget)
-    # swap on g when its completion space is tiny, otherwise on one edge;
     # the evaluation step reads the instance that was swapped
     w = g.n * m + math.comb(g.n, 2) * sp
     if g.n >= 2 and math.comb(w, r) - len(g.edges) <= 12:
@@ -421,7 +425,7 @@ def verify_hypergraph(
             "supergraph expansion of one r-edge"
         )
         sub = subdivide(scheme, inst)
-    image = _swap_step(report, desc, op, inst, sub)
+    image = _swap_step(report, desc, scheme.transformation(), inst, sub, DEFAULT_BUDGET)
     _eval_step(report, image, sub, samples)
     report.wall_time = time.perf_counter() - t0
     return report

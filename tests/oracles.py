@@ -201,13 +201,12 @@ def brute_lift(f, n: int) -> dict:
     return _accumulate(pairs)
 
 
-def brute_operator_apply(op, f) -> dict:
+def brute_operator_apply(tau, f) -> dict:
     """The preimage sum by its definition: for each term G of order n, every
-    labelled graph h on eta([n]), over the operator's input labels, with
+    labelled graph h on eta([n]), over tau's input labels, with
     tau_apply(h, n) == G. Keyed by the `reference_canonical` representative:
     the n! relabelings of `brute_class` are too slow for the hundreds of
     6-vertex preimages one term can have."""
-    tau = op.tau
     pairs = []
     for g, c in f.coeffs.items():
         w = functor_size(tau.eta, g.n)

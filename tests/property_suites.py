@@ -180,12 +180,12 @@ def run_operator_kernel_compat(count=50, seed=90404):
     """Multiplying by the one-vertex class before applying a scheme operator
     lands in the same algebra class afterwards."""
     rng = random.Random(seed)
-    op = H.blowup_scheme(2).operator()
+    tau = H.blowup_scheme(2).transformation()
     pt = H.point(2, 0)
     for i in range(count):
         f = _random_lincomb(rng, 2, frozenset({0}))
-        lhs = H.operator_apply(op, H.product(f, pt))
-        rhs = H.operator_apply(op, f)
+        lhs = H.operator_apply(tau, H.product(f, pt))
+        rhs = H.operator_apply(tau, f)
         if not H.alg_equal(lhs, rhs):
             return {"ok": False, "checked": i, "witness": H.lincomb_to_text(f)}
     return {"ok": True, "checked": count, "witness": ""}

@@ -54,11 +54,11 @@ def test_01_unit_expansion_order3():
 
 def test_02_parallel_copies_operator_squares():
     t0 = time.perf_counter()
-    op = H.copies_scheme(2).operator()
+    tau = H.copies_scheme(2).transformation()
     ok = True
     for g in (K2, P2):
         lifted = H.nind(H.LinComb.from_graph(g))
-        image = H.operator_apply(op, lifted)
+        image = H.operator_apply(tau, lifted)
         ok = ok and H.alg_equal(image, H.product(lifted, lifted))
     _finish(
         2,
@@ -79,8 +79,8 @@ def test_03_subdivision_operator_swap():
     ok = True
     for name, scheme, base in cases:
         t_case = time.perf_counter()
-        op = scheme.operator()
-        image = H.operator_apply(op, H.nind(H.LinComb.from_graph(base)))
+        tau = scheme.transformation()
+        image = H.operator_apply(tau, H.nind(H.LinComb.from_graph(base)))
         closed = H.nind(H.LinComb.from_graph(H.subdivide(scheme, base)))
         ok = ok and H.alg_equal(image, closed)
         per_case.append((name, time.perf_counter() - t_case))
@@ -100,16 +100,16 @@ def test_03_subdivision_operator_swap():
 def test_04_box_chain():
     t0 = time.perf_counter()
     scheme = H.box_scheme()
-    op = scheme.operator(labeled=True)
+    tau = scheme.transformation(labeled=True)
     embedded = H.extend_label_set(
         H.nind(H.LinComb.from_graph(K2)), frozenset({0, 1})
     )
     sub = H.subdivide(scheme, K2)
     swap_ok = H.alg_equal(
-        H.operator_apply(op, embedded),
+        H.operator_apply(tau, embedded),
         H.nind(H.LinComb.from_graph(sub)),
     )
-    point_image = H.operator_apply(op, H.point(2, 0, frozenset({0, 1})))
+    point_image = H.operator_apply(tau, H.point(2, 0, frozenset({0, 1})))
     point_ok = H.alg_equal(point_image, H.LinComb.from_graph(K2))
     cube = H.box_product(H.cycle_graph(4), K2)
     hamming = H.Graph(
@@ -249,9 +249,9 @@ def test_08_ladder_pipeline():
 def test_09_isolated_vertex_failure_detected():
     t0 = time.perf_counter()
     scheme = H.box_scheme()
-    op = scheme.operator()
+    tau = scheme.transformation()
     one = H.Graph(2, 1)
-    image = H.operator_apply(op, H.nind(H.LinComb.from_graph(one)))
+    image = H.operator_apply(tau, H.nind(H.LinComb.from_graph(one)))
     closed = H.nind(H.LinComb.from_graph(H.subdivide(scheme, one)))
     detected = not H.alg_equal(image, closed)
     exact_image = image == H.LinComb.from_graph(K2) + H.LinComb.from_graph(

@@ -80,9 +80,9 @@ def golden_lines() -> list[str]:
         "K2+K1": Graph(2, 3, None, ((0, 1),)),
     }
     for name, scheme in schemes.items():
-        op = scheme.operator()
+        tau = scheme.transformation()
         for gname, g in probes.items():
-            image = operator_apply(op, g)
+            image = operator_apply(tau, g)
             digest = hashlib.sha256(lincomb_to_text(image).encode()).hexdigest()
             lines.append(
                 f"operator {name} {gname} terms={len(image.coeffs)} sha256={digest[:16]}"

@@ -178,7 +178,7 @@ _TARGET_OPTIONS = {
     "tensor": {"--graph": P2_TEXT, "--s": "2", "--budget": "4096"},
     "gensub": {"--graph": K2_TEXT, "--scheme": "path:2", "--p": "1/2", "--budget": "4096"},
     "box": {"--graph": K2_TEXT, "--p": "1/2", "--budget": "4096"},
-    "hyper": {"--graph": K2_TEXT, "--r": "3", "--m": "1", "--p": "1/2", "--budget": "4096"},
+    "hyper": {"--graph": K2_TEXT, "--r": "3", "--m": "1", "--p": "1/2"},
     "goodman": {"--p": "1/3,2/5"},
     "forcingpair": {"--k": "3"},
     "m5": {},

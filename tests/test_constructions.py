@@ -135,9 +135,13 @@ def test_check_symmetry_tests_both_generators():
 
 def test_edge_gadget_with_many_isolated_privates():
     # one 4-uniform edge on blocks (0 1) and (2 3), and n - 4 isolated
-    # privates: the symmetry check maps only the gadget's edges
-    text = "graph{r=4;n=2;l=;e=}\ngraph{r=4;n=401;l=;e=(0 1 2 3)}\nsets=(0 1)(2 3)\n"
-    assert scheme_from_text(text).s_prime == 397
+    # privates: the symmetry check maps only the gadget's edges, and the
+    # vertex-map search keeps no frame per vertex, so 990 and more privates
+    # stay clear of the recursion limit
+    for n in (401, 990, 2000):
+        edge = f"graph{{r=4;n={n};l=;e=(0 1 2 3)}}"
+        text = f"graph{{r=4;n=2;l=;e=}}\n{edge}\nsets=(0 1)(2 3)\n"
+        assert scheme_from_text(text).s_prime == n - 4
     sets = ((0, 1), (2, 3))
     verdicts = []
     for edge in ((0, 1, 2, 3), (0, 2, 4, 5), (0, 1, 2, 4), (0, 3, 4, 5)):
@@ -341,9 +345,9 @@ _BASES = {"point": single_vertex(2), "K2": K2, "P2": path_graph(2)}
 def _swap_sides(scheme, labeled, g):
     """The operator's enumerated image of nind(g), and nind of the
     subdivided graph over the operator's labels."""
-    op = scheme.operator(labeled=labeled)
-    image = operator_apply(op, extend_label_set(nind(g), op.tau.base_labels))
-    return image, nind(LinComb.from_graph(subdivide(scheme, g), op.tau.labels))
+    tau = scheme.transformation(labeled=labeled)
+    image = operator_apply(tau, extend_label_set(nind(g), tau.base_labels))
+    return image, nind(LinComb.from_graph(subdivide(scheme, g), tau.labels))
 
 
 @pytest.mark.parametrize(

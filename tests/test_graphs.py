@@ -16,7 +16,6 @@ from hypalg import (
     InputError,
     LabeledLift,
     LinComb,
-    Operator,
     SubdivisionScheme,
     SubsetsF,
     UniformRep,
@@ -183,7 +182,7 @@ def _edge_rule(**fields):
             "uniformities must be ints, got (2.0, 2)",
         ),
         (
-            lambda: Operator(_edge_rule(), budget=2.5),
+            lambda: operator_apply(_edge_rule(), complete_graph(2, 2), budget=2.5),
             "budget must be ints, got (2.5,)",
         ),
         (lambda: UniformRep(unit(2), 2.5), "order must be ints, got (2.5,)"),
@@ -278,7 +277,8 @@ def test_entry_points_accept_bools_as_ints():
     assert Injection(1, 2, (True,)).image == (1,)
     assert _edge_rule(labels=(0, True)).labels == frozenset({0, 1})
     assert LinComb.zero(True).r == 1
-    assert Operator(_edge_rule(), budget=True).budget
+    k2 = complete_graph(2, 2)
+    assert operator_apply(_edge_rule(), k2, budget=True) == LinComb.from_graph(k2)
     assert type(SubsetsF(True).k) is int
     assert lift(unit(2), True).n == 1
 
@@ -543,8 +543,8 @@ def test_triangle_probe_searches_once_per_relabelled_graph(monkeypatch):
     # the left side of the triangle scheme's multiplicativity check: 383
     # searches; one per cache miss took 1,892
     calls = _count_searches(monkeypatch)
-    op = Operator(triangle_scheme().operator().tau, 2**14)
-    operator_apply(op, product(LinComb.from_graph(K2), point(2, 0)))
+    tau = triangle_scheme().transformation()
+    operator_apply(tau, product(LinComb.from_graph(K2), point(2, 0)), 2**14)
     assert len(calls) <= 400
 
 

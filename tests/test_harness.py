@@ -213,9 +213,9 @@ def test_verify_gensubdivision_direct_swap(monkeypatch):
 
     calls = []
 
-    def counting(op, f):
+    def counting(tau, f, budget):
         calls.append(f)
-        return operator_apply(op, f)
+        return operator_apply(tau, f, budget)
 
     monkeypatch.setattr(harness, "operator_apply", counting)
     report = verify_gensubdivision(path_scheme(2), K2)
@@ -236,15 +236,24 @@ def test_verify_gensubdivision_budget_fallbacks():
 
 def test_verify_gensubdivision_refuses_before_swap_enumeration(monkeypatch):
     # blowup:4 on K2 leaves 12 edge slots, 4,096 completions; a 2^11 budget
-    # refuses it before any completion is canonicalised
-    from hypalg import blowup_scheme, functors
+    # refuses it before any completion is canonicalised. K2 is the single
+    # edge the report would fall back to, so the first refusal stands
+    from hypalg import blowup_scheme, functors, harness
 
     def canonicalise(*args, **kwargs):
         raise AssertionError("a completion was canonicalised before the refusal")
 
+    calls = []
+
+    def counting(tau, f, budget):
+        calls.append(f)
+        return operator_apply(tau, f, budget)
+
     monkeypatch.setattr(functors, "canonical", canonicalise)
+    monkeypatch.setattr(harness, "operator_apply", counting)
     with pytest.raises(ResourceError, match="leaves 12 undecided edge slots"):
         verify_gensubdivision(blowup_scheme(4), K2, budget=1 << 11)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -259,8 +268,8 @@ def test_verify_gensubdivision_refuses_before_swap_enumeration(monkeypatch):
 def test_swap_step_fails_on_a_wrong_image(monkeypatch, verify):
     from hypalg import harness, operator_apply
 
-    def spurious(op, f):
-        image = operator_apply(op, f)
+    def spurious(tau, f, budget):
+        image = operator_apply(tau, f, budget)
         return image + LinComb.from_graph(Graph(image.r, 1), image.label_set)
 
     monkeypatch.setattr(harness, "operator_apply", spurious)
