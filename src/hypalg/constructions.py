@@ -363,17 +363,26 @@ def box_product(g: Graph, f: Graph) -> Graph:
     return Graph(2, g.n * f.n, None, tuple(edges))
 
 
+def _expansion(g: Graph, r: int, m: int) -> Graph:
+    """The r-uniform expansion with blocks of size m: vertex v becomes the
+    block v*m .. v*m+m-1, and the k-th edge (in sorted order) the union of
+    its endpoints' blocks with the r-2m privates n*m + k*(r-2m) + t."""
+    sp = r - 2 * m
+    edges = []
+    for k, (u, v) in enumerate(g.edges):
+        start = g.n * m + k * sp
+        edges.append(
+            (*range(u * m, u * m + m), *range(v * m, v * m + m), *range(start, start + sp))
+        )
+    return Graph(r, g.n * m + len(g.edges) * sp, None, tuple(edges))
+
+
 def loose_expansion(g: Graph, r: int) -> Graph:
     """Pad each 2-edge with r-2 fresh private vertices."""
     if g.r != 2:
         raise InputError("loose expansion starts from a 2-uniform graph")
     (r,) = _ints((r,), "uniformity", 3)
-    sp = r - 2
-    edges = []
-    for k, (u, v) in enumerate(g.edges):
-        privates = range(g.n + k * sp, g.n + (k + 1) * sp)
-        edges.append(tuple(sorted((u, v) + tuple(privates))))
-    return Graph(r, g.n + len(g.edges) * sp, None, tuple(edges))
+    return _expansion(g, r, 1)
 
 
 def even_expansion(g: Graph, r: int) -> Graph:
@@ -384,12 +393,7 @@ def even_expansion(g: Graph, r: int) -> Graph:
     (r,) = _ints((r,), "uniformity")
     if r < 2 or r % 2:
         raise InputError(f"even expansions need even r >= 2, got {r}")
-    m = r // 2
-    edges = []
-    for u, v in g.edges:
-        block = tuple(range(u * m, (u + 1) * m)) + tuple(range(v * m, (v + 1) * m))
-        edges.append(tuple(sorted(block)))
-    return Graph(r, g.n * m, None, tuple(edges))
+    return _expansion(g, r, r // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,8 @@ def _map_element(eta, image: tuple, x):
     if isinstance(eta, UnionF):
         side = eta.left if x[0] == 0 else eta.right
         return (x[0], _map_element(side, image, x[1]))
-    if isinstance(eta, ProductF):
-        return (_map_element(eta.left, image, x[0]), _map_element(eta.right, image, x[1]))
-    raise InputError(f"not a downward functor: {eta!r}")
+    # a ProductF: `apply_functor_set` has refused every other node
+    return (_map_element(eta.left, image, x[0]), _map_element(eta.right, image, x[1]))
 
 
 def _positions(eta, n: int, image: tuple) -> tuple:
@@ -264,8 +263,16 @@ class UpwardTransformation:
 
 
 def _infer_order(eta, n_vertices: int, base_r: int) -> int:
-    limit = n_vertices + base_r + 2
-    matches = [k for k in range(limit + 1) if functor_size(eta, k) == n_vertices]
+    # |eta([k])| never falls as k grows: C(k, j) does not, a constant stays,
+    # and unions and products add and multiply sizes. So the search stops at
+    # the first k past the vertex count, before building larger eta([k])
+    matches = []
+    for k in range(n_vertices + base_r + 3):
+        size = functor_size(eta, k)
+        if size > n_vertices:
+            break
+        if size == n_vertices:
+            matches.append(k)
     if len(matches) > 1:
         raise InputError(
             f"vertex count {n_vertices} matches eta([k]) for several k "

@@ -91,7 +91,7 @@ def test_verify_machine_report(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
     for line in lines:
         fields = line.split("\t")
         assert len(fields) == 4 and fields[2] == "pass"

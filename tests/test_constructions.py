@@ -257,6 +257,32 @@ def test_subdivide_matches_direct_expansions():
     assert even_expansion(K2, 4) == Graph(4, 4, None, ((0, 1, 2, 3),))
 
 
+def test_direct_expansion_is_the_mixed_subdivision():
+    # the harness's direct construction, for every (r, m): blocks of m per
+    # vertex, then r-2m privates per edge in sorted edge order
+    from hypalg.constructions import _expansion
+
+    assert _expansion(path_graph(2), 5, 2) == Graph(
+        5, 8, None, ((0, 1, 2, 3, 6), (2, 3, 4, 5, 7))
+    )
+    rng = random.Random("direct expansion")
+    schemes = {}
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        slots = list(combinations(range(n), 2))
+        g = Graph(2, n, None, tuple(e for e in slots if rng.random() < 0.5))
+        r = rng.randint(2, 7)
+        m = rng.randint(1, r // 2)
+        if (r, m) not in schemes:
+            schemes[r, m] = mixed_scheme(r, m)
+        direct = _expansion(g, r, m)
+        assert direct == subdivide(schemes[r, m], g)
+        if m == 1 and r >= 3:
+            assert direct == loose_expansion(g, r)
+        if 2 * m == r:
+            assert direct == even_expansion(g, r)
+
+
 def test_subdivide_matches_box_product():
     for g in [path_graph(2), cycle_graph(4)]:
         assert subdivide(box_scheme(), g) == box_product(g, K2)

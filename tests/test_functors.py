@@ -16,6 +16,7 @@ from hypalg import (
     LinComb,
     ProductF,
     ResourceError,
+    SubdivisionScheme,
     SubsetsF,
     UnionF,
     UpwardTransformation,
@@ -195,6 +196,22 @@ def test_infer_order_ambiguous_for_const():
         tau_apply(tau, complete_graph(2, 2))
     assert tau_apply(tau, complete_graph(2, 2), 3) == complete_graph(2, 3)
     assert tau_apply(tau, Graph(2, 2), 3) == Graph(2, 3)
+
+
+def test_infer_order_stops_past_the_vertex_count(monkeypatch):
+    # |eta([k])| = 2k + 24*C(k, 2) never falls as k grows, so a graph on
+    # eta([3]), 78 vertices, needs eta([k]) only up to the first k past 78
+    scheme = SubdivisionScheme(Graph(4, 2), Graph(4, 28, None, ((0, 1, 2, 3),)), 2)
+    tau = scheme.transformation()
+    real, seen = functors.functor_size, []
+
+    def recording(eta, k):
+        seen.append(k)
+        return real(eta, k)
+
+    monkeypatch.setattr(functors, "functor_size", recording)
+    assert tau_apply(tau, Graph(4, 78)) == Graph(2, 3)
+    assert seen == [0, 1, 2, 3, 4]
 
 
 def test_transformation_validation():

@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 import pytest
 
 from hypalg import (
+    ConstF,
     Graph,
     Injection,
     InputError,
@@ -52,10 +53,12 @@ from hypalg import (
     even_expansion,
     even_scheme,
     functor_size,
+    functor_to_text,
     loose_expansion,
     loose_scheme,
     mixed_scheme,
     operator_apply,
+    order,
     path_scheme,
     point,
     product,
@@ -263,6 +266,46 @@ def test_entry_points_reject_non_int_labels_and_vertices(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: order(3), "expected LinComb, UniformRep or Graph, got int"),
+        (
+            lambda: UniformRep(LinComb.from_graph(K2), 3),
+            f"term {K2!r} has order 2, expected uniform order 3",
+        ),
+        (lambda: Injection(2, 3, (0,)), "image has 1 entries, expected 2"),
+        (lambda: ConstF((0, 0)), "constant set has repeated elements"),
+        (lambda: apply_functor_set("sub(1)", 2), "not a downward functor: 'sub(1)'"),
+        (lambda: functor_to_text("sub(1)"), "not a downward functor: 'sub(1)'"),
+        (
+            lambda: operator_apply(_edge_rule(), UniformRep(LinComb.from_graph(K2), 2)),
+            "expected LinComb or Graph, got UniformRep",
+        ),
+    ],
+    ids=[
+        "coerce-int",
+        "uniform-rep-order",
+        "injection-length",
+        "const-repeats",
+        "functor-set",
+        "functor-text",
+        "operator-input",
+    ],
+)
+def test_entry_points_refuse_objects_of_the_wrong_shape(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_algebra_entry_points_read_a_uniform_rep():
+    k2 = LinComb.from_graph(K2)
+    rep = UniformRep(k2, 2)
+    assert order(rep) == 2
+    assert product(rep, rep) == product(k2, k2)
 
 
 def test_cached_functor_sets_reject_non_ints():

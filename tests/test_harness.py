@@ -328,9 +328,9 @@ def test_verify_gensubdivision_preconditions():
 
 def test_verify_box():
     report = verify_box(K2)
-    assert report.verdict and len(report.steps) == 5
+    assert report.verdict and len(report.steps) == 4
     kinds = [s.kind for s in report.steps]
-    assert kinds.count("construction-equality") == 2
+    assert kinds.count("construction-equality") == 1
     assert kinds.count("exact-identity") == 2
     with pytest.raises(InputError):
         verify_box(complete_graph(3, 3))
@@ -347,12 +347,46 @@ def test_verify_hypergraph_branches():
 
     mixed = verify_hypergraph(path_graph(2), 5, 2)
     assert mixed.verdict and len(mixed.steps) == 3
-    assert "mixed split" in mixed.steps[0].description
+    assert "mixed expansion" in mixed.steps[0].description
 
     with pytest.raises(InputError):
         verify_hypergraph(complete_graph(3, 3), 4, 1)
     with pytest.raises(InputError):
         verify_hypergraph(K2, 3, 2)  # two blocks of 2 do not fit in 3
+
+
+def test_mixed_expansion_step_fails_on_shared_privates(monkeypatch):
+    # both edges of P2 take the one private 6 and 7 stays isolated: the
+    # vertex and edge counts of the real subdivision, so only a comparison
+    # with the direct expansion can tell them apart
+    from hypalg import harness, mixed_scheme, subdivide
+
+    p2 = path_graph(2)
+    real = subdivide(mixed_scheme(5, 2), p2)
+    shared = Graph(5, 8, None, ((0, 1, 2, 3, 6), (2, 3, 4, 5, 6)))
+    assert (shared.n, len(shared.edges)) == (real.n, len(real.edges))
+
+    def sharing(scheme, g):
+        return shared if g == p2 else subdivide(scheme, g)
+
+    monkeypatch.setattr(harness, "subdivide", sharing)
+    report = verify_hypergraph(p2, 5, 2)
+    assert [s.passed for s in report.steps] == [False, True, True]
+    assert "mixed expansion" in report.steps[0].description
+
+
+def test_gensub_edge_count_is_the_only_failing_step():
+    # two base edges on one pair of vertices give two triangles sharing the
+    # edge (0 1): five distinct edges, where the count expects six, while
+    # the swap and its evaluation hold
+    from hypalg import scheme_from_text
+
+    scheme = scheme_from_text(
+        "graph{r=2;n=1;l=;e=}\ngraph{r=2;n=3;l=;e=(0 1)(0 2)(1 2)}\nsets=(0)(1)(2)\n"
+    )
+    report = verify_gensubdivision(scheme, Graph(3, 4, None, ((0, 1, 2), (0, 1, 3))))
+    assert [s.passed for s in report.steps] == [True, False, True]
+    assert report.steps[1].witness == "5 edges vs 2*3 + 4*0"
 
 
 def test_verify_goodman_lift():
@@ -371,7 +405,7 @@ def test_verify_forcing_pair_operator():
 
 def test_verify_m5():
     report = verify_m5()
-    assert report.verdict and len(report.steps) == 4
+    assert report.verdict and len(report.steps) == 3
     assert report.identifier == "five-cycle-ladder-bound"
 
 
