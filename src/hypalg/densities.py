@@ -2,13 +2,15 @@
 homomorphism densities, and the blow-up limit connecting them.
 
 All values are exact Fractions that count vertex maps with one pruned
-search, `graphs._maps`, run afresh for each term: nothing is cached. The
-search filters host vertices as bit masks and yields every map, which the
-functional counts one by one. The three functionals differ only in the maps
-they count: injective and induced, any map sending edges onto edges, or any
-map sending edges onto edges and every other r-set off them. Hosts are
-desk-scale (a dozen vertices, blow-ups a couple dozen). Every functional
-extends linearly to LinComb arguments with coefficient weights.
+search, `graphs._last_masks`, run afresh for each term: nothing is cached.
+The search filters host vertices as bit masks. It places every pattern
+vertex but the last and yields the mask of the last one's images, and the
+functional sums the masks' bit counts, so no map is built as a tuple.
+The three functionals differ only in the maps they count: injective and
+induced, any map sending edges onto edges, or any map sending edges onto
+edges and every other r-set off them. Hosts are desk-scale (a dozen
+vertices, blow-ups a couple dozen). Every functional extends linearly to
+LinComb arguments with coefficient weights.
 
 For uniformity above 2 a map counts as a homomorphism when it is injective
 on every edge and sends every edge onto an edge of the host. With that
@@ -26,7 +28,7 @@ from fractions import Fraction
 from .algebra import LinComb, _coerce
 from .constructions import blowup
 from .errors import InputError, ResourceError
-from .graphs import Graph, _ints, _maps
+from .graphs import Graph, _ints, _last_masks
 
 __all__ = [
     "blowup_density_curve",
@@ -52,16 +54,17 @@ def inj_density(f, h: Graph) -> Fraction:
 
 def _map_density(f, h: Graph, induced: bool, injective: bool = False) -> Fraction:
     """Fraction of the vertex maps into h (injections with `injective`)
-    that `_maps` yields, extended linearly. A term with no injection into
-    h has density zero; on a host without vertices only the empty graph
-    has a map at all."""
+    that `_last_masks` finds, extended linearly. A term with no injection
+    into h has density zero; on a host without vertices only the empty
+    graph has a map at all."""
     f = _coerce(f)
     _check_host(f, h)
     total = Fraction(0)
     for g, c in f.coeffs.items():
         maps = math.perm(h.n, g.n) if injective else h.n**g.n
         if maps:
-            count = sum(1 for _ in _maps(g, h, induced, injective))
+            masks = _last_masks(g, h, induced, injective)
+            count = sum(mask.bit_count() for mask in masks)
             total += c * Fraction(count, maps)
         elif not injective:
             raise InputError("host graph has no vertices")

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add_tallied, _aut, _label_set, _orbit_subsets, alg_equal, product
+from .algebra import LinComb, _add_tallied, _aut, _coerce, _label_set, _orbit_subsets, alg_equal, product
 from .errors import InputError, ResourceError
 from .graphs import _INT, Graph, Injection, _ints, _moved, canonical
 
@@ -432,15 +432,13 @@ def _term_preimages(
 
 
 def operator_apply(tau: UpwardTransformation, f, budget: int = DEFAULT_BUDGET) -> LinComb:
-    """The operator of tau: the sum of tau-preimages, extended linearly.
+    """The operator of tau: the sum of tau-preimages, extended linearly
+    to a Graph, LinComb or UniformRep, read as the algebra reads them.
     Each term G contributes all graphs H on eta(V_G) with tau(H) = G, found
     by the completion search; a term with more than `budget` completions
     raises `ResourceError`."""
     _ints((budget,), "budget", 1)
-    if isinstance(f, Graph):
-        f = LinComb.from_graph(f, tau.base_labels)
-    if not isinstance(f, LinComb):
-        raise InputError(f"expected LinComb or Graph, got {type(f).__name__}")
+    f = _coerce(f, tau.base_labels)
     if f.r != tau.base_r:
         raise InputError(f"operator consumes uniformity {tau.base_r}, got {f.r}")
     if f.label_set != tau.base_labels:

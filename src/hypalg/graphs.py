@@ -17,10 +17,12 @@ keep their places, so one edge on 10 vertices takes 0.05 ms, not 0.34 s.
 But the search visits one leaf per automorphism of the other vertices, so
 `canonical(complete_bipartite(5, 5))` (|Aut| = 28,800) takes about 0.2 s
 where the pairwise search takes under 1 ms. That is why `is_isomorphic`
-does not compare canonical forms. The pairwise search is `_maps`, the one
-vertex-map search, which also serves the algebra and the densities; it
-filters host vertices as bit masks and checks every r-set of the pattern
-for an induced map, else only its edges, enough for `is_isomorphic`.
+does not compare canonical forms. The pairwise search is `_last_masks`,
+the one vertex-map search, which also serves the algebra (through `_maps`)
+and the densities. It keeps host vertices and (r-1)-sets as bit masks,
+yields the mask of the last pattern vertex's images, and checks every
+r-set of the pattern for an induced map, else only its edges, enough for
+`is_isomorphic`.
 
 The text format is a single line::
 
@@ -43,7 +45,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import InputError
 
@@ -442,88 +444,125 @@ def _greedy_order(g: Graph) -> list[int]:
     return order
 
 
-def _maps(g: Graph, h: Graph, induced: bool = True, injective: bool = True):
-    """Images of the label-preserving maps [g.n] -> V(h) that send every
-    edge of g injectively onto an edge of h, each as a tuple indexed by g's
-    vertices, in no promised order.
+def _last_masks(
+    g: Graph, h: Graph, induced: bool = True, injective: bool = True, img=None
+):
+    """The one vertex-map search, for the label-preserving maps [g.n] -> V(h)
+    that send every edge of g injectively onto an edge of h. With `induced`,
+    every other r-set of g must go to a non-edge or onto fewer than r
+    vertices; with `injective`, the map is one-to-one.
 
-    With `induced`, every other r-set of g must go to a non-edge or onto
-    fewer than r vertices; with `injective`, the map is one-to-one. The
-    vertices of g are placed in `_greedy_order`. Host vertices are bits,
-    and a vertex's candidates are its label's mask, minus the used mask
-    when `injective`, ANDed with the link mask (the completions to an edge
-    of h) of the images of each r-set to check that it closes, or with its
-    complement for a non-edge: every r-set of g with `induced`, else only
-    g's edges. Repeated images have no link and no link holds its own
-    vertices, so an r-set mapped onto fewer than r vertices is a non-edge.
+    The vertices of g are placed in `_greedy_order`. For each placement of
+    all but the last that leaves the last some image, the search yields the
+    mask of those images, and `img` (made when not given) then holds each
+    vertex's image bit, the mask at the last vertex. So the maps pick one
+    bit per entry, and the masks' bit counts sum to their number. Without
+    vertices, g has one map, the empty one, and the mask 1 is yielded.
+
+    Host vertices are bits, and an (r-1)-set's link, the mask of its
+    completions to an edge of h, is keyed by the OR of its bits. A vertex's
+    candidates are its label's mask, minus the used mask when `injective`,
+    ANDed with the link of the OR of the images of each r-set it closes, or
+    with its complement for a non-edge: every r-set of g with `induced`,
+    else only g's edges. Repeated images OR to fewer bits and have no link,
+    and no link holds its own vertices, so an r-set mapped onto fewer than r
+    vertices is a non-edge.
     """
-    link: dict[tuple[int, ...], int] = {}  # (r-1)-set -> completions
+    link: dict[int, int] = {}  # bits of an (r-1)-set -> its completions
     for e in h.edges:
-        for i, v in enumerate(e):
-            rest = e[:i] + e[i + 1 :]
+        bits = 0
+        for v in e:
+            bits |= 1 << v
+        for v in e:
+            rest = bits ^ 1 << v
             link[rest] = link.get(rest, 0) | 1 << v
     of_label: dict[int, int] = {}
     for w, lab in enumerate(h.labels):
         of_label[lab] = of_label.get(lab, 0) | 1 << w
     order = _greedy_order(g)
     at = {u: p for p, u in enumerate(order)}  # vertex -> position
-    # per position: the r-sets to check that its vertex closes, as (the
-    # other r-1 vertices, whether an edge of g)
+    # per position: the other r-1 vertices of each r-set its vertex closes,
+    # and whether that r-set must be an edge
     closes = [[] for _ in order]
     for s in combinations(range(g.n), g.r) if induced else g.edges:
         last = max(s, key=at.get)
         closes[at[last]].append(([v for v in s if v != last], s in g.edge_set))
-    steps = [(u, of_label.get(g.labels[u], 0), closes[p]) for p, u in enumerate(order)]
-    img = [0] * g.n
+    label_mask = [of_label.get(g.labels[u], 0) for u in order]
+    if img is None:
+        img = [0] * g.n
 
     def candidates(p: int, used: int) -> int:
-        _, cands, closed = steps[p]
-        if injective:
-            cands &= ~used
-        for rest, is_edge in closed:
-            m = link.get(tuple(sorted([img[x] for x in rest])), 0)
+        cands = label_mask[p] & ~used if injective else label_mask[p]
+        for rest, is_edge in closes[p]:
+            bits = 0
+            for x in rest:
+                bits |= img[x]
+            m = link.get(bits, 0)
             cands &= m if is_edge else ~m
         return cands
 
-    def place():
-        # depth first, lowest candidate bit first, on an explicit stack:
-        # per position the candidates not yet tried and the used mask
-        if not g.n:
-            yield ()
-            return
-        last = g.n - 1
-        left = [candidates(0, 0)] + [0] * last
-        used = [0] * g.n
-        p = 0
-        while p >= 0:
-            cands = left[p]
-            if not cands:
-                p -= 1
-                continue
-            bit = cands & -cands
-            left[p] = cands ^ bit
-            img[steps[p][0]] = bit.bit_length() - 1
-            if p == last:
-                yield tuple(img)
-            else:
-                p += 1
-                used[p] = used[p - 1] | bit
-                left[p] = candidates(p, used[p])
+    if not g.n:
+        yield 1
+        return
+    # depth first, lowest candidate bit first, on an explicit stack: per
+    # position up to the one before the last, the candidates not yet tried
+    # and the used mask of the positions before it
+    last = g.n - 1
+    end = order[last]
+    if not last:
+        img[end] = candidates(0, 0)
+        if img[end]:
+            yield img[end]
+        return
+    left = [candidates(0, 0)] + [0] * (last - 1)
+    used = [0] * last
+    p = 0
+    while p >= 0:
+        cands = left[p]
+        if not cands:
+            p -= 1
+            continue
+        bit = cands & -cands
+        left[p] = cands ^ bit
+        img[order[p]] = bit
+        now = used[p] | bit
+        if p + 1 < last:
+            p += 1
+            used[p] = now
+            left[p] = candidates(p, now)
+            continue
+        mask = candidates(last, now)
+        if mask:
+            img[end] = mask
+            yield mask
 
-    return place()
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _maps(g: Graph, h: Graph, induced: bool = True, injective: bool = True):
+    """The maps that `_last_masks` finds, its links keyed by masks, each as
+    the tuple of its images indexed by g's vertices, in no promised order:
+    per mask yielded, every pick of one bit per entry of the image list."""
+    img = [0] * g.n
+    for _ in _last_masks(g, h, induced, injective, img):
+        yield from product(*map(_bits, img))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether some label-preserving vertex bijection maps the edges of g
     onto those of h. Graphs of different uniformity or with different
     sorted (degree, label) pairs are told apart without a search; otherwise
-    `_maps` looks for one injective map sending edges to edges. Equal pairs
-    mean equal vertex and edge counts (degree sum over r), so such a map is
-    a bijection taking g's edges onto h's: non-edges need no check."""
+    `_last_masks`, its links keyed by masks, looks for one injective map
+    sending edges to edges, which is there when it yields any mask. Equal
+    pairs mean equal vertex and edge counts (degree sum over r), so such a
+    map is a bijection taking g's edges onto h's: non-edges need no check."""
     return (
         g.r == h.r
         and sorted(zip(g.degrees, g.labels)) == sorted(zip(h.degrees, h.labels))
-        and next(_maps(g, h, induced=False), None) is not None
+        and any(_last_masks(g, h, induced=False))
     )
 
 

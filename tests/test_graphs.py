@@ -68,7 +68,8 @@ from hypalg import (
     verify_tensor_power,
 )
 import hypalg.graphs as graph_module
-from hypalg.graphs import _maps
+from hypalg.densities import _map_density
+from hypalg.graphs import _last_masks, _maps
 from oracles import brute_canonical, brute_maps, reference_canonical
 
 K2 = complete_graph(2, 2)
@@ -281,8 +282,8 @@ def test_entry_points_reject_non_int_labels_and_vertices(call, message):
         (lambda: apply_functor_set("sub(1)", 2), "not a downward functor: 'sub(1)'"),
         (lambda: functor_to_text("sub(1)"), "not a downward functor: 'sub(1)'"),
         (
-            lambda: operator_apply(_edge_rule(), UniformRep(LinComb.from_graph(K2), 2)),
-            "expected LinComb or Graph, got UniformRep",
+            lambda: operator_apply(_edge_rule(), 3),
+            "expected LinComb, UniformRep or Graph, got int",
         ),
     ],
     ids=[
@@ -306,6 +307,10 @@ def test_algebra_entry_points_read_a_uniform_rep():
     rep = UniformRep(k2, 2)
     assert order(rep) == 2
     assert product(rep, rep) == product(k2, k2)
+    # so does an operator
+    tau = blowup_scheme(2).transformation()
+    lifted = lift(nind(k2), 3)
+    assert operator_apply(tau, lifted) == operator_apply(tau, lifted.lincomb)
 
 
 def test_cached_functor_sets_reject_non_ints():
@@ -608,8 +613,9 @@ def test_is_isomorphic():
 @pytest.mark.parametrize("induced", [True, False])
 @pytest.mark.parametrize("injective", [True, False])
 def test_maps_match_brute_force(induced, injective):
-    # the map sets themselves, not only their counts: r = 1, 2 and 3, one or
-    # two labels, patterns of 0-4 and hosts of 0-5 vertices
+    # the map sets themselves, and the counts of the densities' path, the
+    # bit counts of the last position's masks: r = 1, 2 and 3, one or two
+    # labels, patterns of 0-4 and hosts of 0-5 vertices
     rng = random.Random(f"maps:{induced}:{injective}")
     found = 0
     for r in (1, 2, 3):
@@ -619,8 +625,29 @@ def test_maps_match_brute_force(induced, injective):
             h = _random_graph(rng, r, rng.randint(0, 5), labels)
             want = brute_maps(g, h, induced, injective)
             assert sorted(_maps(g, h, induced, injective)) == want, (g, h)
+            masks = _last_masks(g, h, induced, injective)
+            assert sum(mask.bit_count() for mask in masks) == len(want), (g, h)
+            total = math.perm(h.n, g.n) if injective else h.n**g.n
+            if total:
+                density = _map_density(g, h, induced, injective)
+                assert density * total == len(want), (g, h)
             found += bool(want)
     assert found >= 100
+
+
+@pytest.mark.parametrize("induced, want", [(True, 6), (False, 24)])
+def test_maps_whose_closing_set_repeats_an_image(induced, want):
+    # 0 and 1 each complete the images of 2 and 3 to the host's one edge,
+    # so they share an image. Placed before 4, they leave (0 1 4) two
+    # equal images: no link, so a non-edge whatever 4 maps to. Induced,
+    # 4 must avoid the edge's vertices; otherwise it goes anywhere.
+    g = Graph(3, 5, None, ((0, 2, 3), (1, 2, 3)))
+    h = Graph(3, 4, None, ((0, 1, 2),))
+    maps = brute_maps(g, h, induced, injective=False)
+    assert len(maps) == want and all(t[0] == t[1] for t in maps)
+    assert sorted(_maps(g, h, induced, injective=False)) == maps
+    masks = _last_masks(g, h, induced, injective=False)
+    assert sum(mask.bit_count() for mask in masks) == want
 
 
 def test_text_round_trip():
