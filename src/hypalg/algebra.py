@@ -17,8 +17,8 @@ path does no Fraction arithmetic.
 by repeated product with the sum of all single-vertex classes, the identity
 of the quotient algebra.
 
-Equality in the quotient is decided by `alg_equal`, which compares the
-lifts of both sides at their largest term order. `eval_quasirandom`
+Equality in the quotient is decided by `alg_equal`, which lifts the
+difference of the two sides to their largest term order. `eval_quasirandom`
 evaluates the homomorphism sending a class with v vertices and e edges to
 p^e (1-p)^(C(v,r)-e) |U|^(-v).
 
@@ -415,24 +415,27 @@ def lift(f, n: int) -> UniformRep:
 # equality in the quotient, positivity, evaluation
 
 
+def _difference(f, g) -> UniformRep:
+    """f - g lifted to n = max(order(f), order(g)); `alg_equal` reads it."""
+    f = _coerce(f)
+    g = _coerce(g, f.label_set)
+    return lift(f - g, max(order(f), order(g)))
+
+
 def alg_equal(f, g) -> bool:
     """Whether f and g are the same element of the quotient algebra.
 
-    Both sides are lifted to the maximum term order n and compared; the
-    verdict is conclusive. Lifting multiplies by the identity, so equal
-    lifts are equal elements. Conversely, order-n classes are linearly
-    independent in the quotient (Razborov, "Flag algebras", 2007): for a
-    labeled graph H on [n], the probability phi_H(F) that a uniformly
-    random injection [v(F)] -> [n] pulls H back to F is a class function
-    with phi_H(F) = phi_H(F * point_sum) while v(F) < n, so a linear
-    functional on the quotient, and on order-n classes it is nonzero only
-    at the class of H.
+    f - g is lifted to the maximum term order n of the two sides and
+    compared with zero; the verdict is conclusive. Lifting multiplies by
+    the identity, so a zero lift is a zero element. Conversely, order-n
+    classes are linearly independent in the quotient (Razborov, "Flag
+    algebras", 2007): for a labeled graph H on [n], the probability
+    phi_H(F) that a uniformly random injection [v(F)] -> [n] pulls H back
+    to F is a class function with phi_H(F) = phi_H(F * point_sum) while
+    v(F) < n, so a linear functional on the quotient, and on order-n
+    classes it is nonzero only at the class of H.
     """
-    f = _coerce(f)
-    g = _coerce(g, f.label_set)
-    f._check_compatible(g)
-    n = max(order(f), order(g))
-    return lift(f, n).lincomb == lift(g, n).lincomb
+    return not _difference(f, g).lincomb
 
 
 def coeff_positive_at(f, n: int, eps=Fraction(0)) -> bool:

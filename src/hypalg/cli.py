@@ -6,6 +6,12 @@ or a path to a file containing one; density patterns may also be linear
 combinations in the printer's format. Scheme arguments accept a catalog
 name (`blowup:2`, `copies:3`, `path:2`, `box`, `crossing`, `triangle`,
 `loose:3`, `even:4`, `mixed:5:2`) or a path to a scheme file.
+
+Every number is written as in the text formats: ASCII digits with no sign
+and no leading zero, at most 4,300 of them. A `--p` sample point is `a` or
+`a/b` with b > 0. Each parser keeps its arguments as text and sets `run`,
+the call that reads them, so a bad value of any argument is an `InputError`:
+`error: ...` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -13,31 +19,16 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 
+from . import constructions
 from .algebra import lincomb_from_text
-from .constructions import (
-    blowup,
-    blowup_scheme,
-    box_product,
-    box_scheme,
-    copies_scheme,
-    crossing_scheme,
-    even_expansion,
-    even_scheme,
-    loose_expansion,
-    loose_scheme,
-    mixed_scheme,
-    path_scheme,
-    scheme_from_text,
-    subdivide,
-    triangle_scheme,
-)
 from .densities import hom_density, inj_density, limit_inj_blowup
 from .errors import InputError, ResourceError
 from .functors import DEFAULT_BUDGET
-from .graphs import graph_from_text, graph_to_text
+from .graphs import _INT, _MAX_DIGITS, _digits, graph_from_text, graph_to_text
 from .harness import (
     format_report,
     verify_box,
@@ -53,6 +44,7 @@ __all__ = ["main"]
 
 K2_TEXT = "graph{r=2;n=2;l=;e=(0 1)}"
 C4_TEXT = "graph{r=2;n=4;l=;e=(0 1)(0 3)(1 2)(2 3)}"
+_POINT = re.compile(rf"({_INT})(?:/(?!0)({_INT}))?")
 
 
 def _read_arg(text: str) -> str:
@@ -62,64 +54,72 @@ def _read_arg(text: str) -> str:
     return text.strip()
 
 
-def _resolve_graph(text: str):
+def _graph(text: str):
     return graph_from_text(_read_arg(text))
 
 
-def _resolve_pattern(text: str):
+def _pattern(text: str):
     body = _read_arg(text)
-    if body.startswith("graph{"):
-        return graph_from_text(body)
-    return lincomb_from_text(body)
+    return (graph_from_text if body.startswith("graph{") else lincomb_from_text)(body)
 
 
-_SCHEME_MAKERS = {
-    "blowup": (blowup_scheme, 1),
-    "copies": (copies_scheme, 1),
-    "path": (path_scheme, 1),
-    "loose": (loose_scheme, 1),
-    "even": (even_scheme, 1),
-    "mixed": (mixed_scheme, 2),
-    "box": (box_scheme, 0),
-    "crossing": (crossing_scheme, 0),
-    "triangle": (triangle_scheme, 0),
+def _int(text: str) -> int:
+    if re.fullmatch(_INT, text) is None:
+        raise InputError(f"{text!r} is not ASCII digits without sign or leading zero")
+    return int(text)
+
+
+def _points(text: str):
+    """The sample points of a `--p` list, or None for the default ones."""
+    if text is None:
+        return None
+    points = [_POINT.fullmatch(part) for part in text.split(",")]
+    if not all(points):
+        raise InputError(f"bad sample list {text!r}; expected e.g. 1/4,1/2,1")
+    return tuple(Fraction(int(m[1]), int(m[2] or 1)) for m in points)
+
+
+# catalog name -> argument count; `name:a:b` is `constructions.name_scheme(a, b)`
+_SCHEMES = {
+    "blowup": 1, "copies": 1, "path": 1, "loose": 1, "even": 1, "mixed": 2,
+    "box": 0, "crossing": 0, "triangle": 0,
 }
 
 
-def _resolve_scheme(text: str):
-    head = text.split(":", 1)[0]
-    if head in _SCHEME_MAKERS and not os.path.exists(text):
-        maker, n_args = _SCHEME_MAKERS[head]
-        parts = text.split(":")
-        args = parts[1:]
+def _scheme(text: str):
+    head, *args = text.split(":")
+    if head in _SCHEMES and not os.path.exists(text):
+        n_args = _SCHEMES[head]
         if len(args) != n_args:
-            raise InputError(
-                f"scheme name {head!r} takes {n_args} integer argument(s), "
-                f"got {len(args)}"
-            )
-        try:
-            return maker(*(int(a) for a in args))
-        except ValueError:
-            raise InputError(f"non-integer argument in scheme name {text!r}") from None
+            raise InputError(f"scheme {head!r} takes {n_args} arguments, got {len(args)}")
+        return getattr(constructions, f"{head}_scheme")(*map(_int, args))
     body = _read_arg(text)
     if "sets=" in body:
-        return scheme_from_text(body)
-    raise InputError(
-        f"{text!r} is neither a catalog scheme name nor a scheme file"
-    )
+        return constructions.scheme_from_text(body)
+    raise InputError(f"{text!r} is neither a catalog scheme name nor a scheme file")
 
 
-def _parse_p_list(text: str):
-    if text is None:
-        return None
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad sample list {text!r}; expected e.g. 1/4,1/2,1") from None
+def _print(text: str) -> int:
+    print(text)
+    return 0
 
 
-def _print_value(v: Fraction) -> None:
-    print(f"{v} ({float(v):.12f})")
+def _density(args) -> int:
+    fn = {"inj": inj_density, "hom": hom_density, "limit": limit_inj_blowup}[args.kind]
+    v = fn(_pattern(args.pattern), _graph(args.host))
+    if max(_digits(v.numerator), _digits(v.denominator)) > _MAX_DIGITS:
+        raise InputError(
+            f"the density has more than {_MAX_DIGITS:,} digits in its numerator "
+            "or denominator, more than an integer of the text formats holds"
+        )
+    # twelve decimals rounded from the exact value, which may be past floats
+    whole, part = divmod(round(abs(v) * 10**12), 10**12)
+    return _print(f"{v} ({'-' if v < 0 else ''}{whole}.{part:012})")
+
+
+def _report(report, fmt: str) -> int:
+    print(format_report(report, fmt))
+    return 0 if report.verdict else 1
 
 
 @functools.cache
@@ -142,109 +142,74 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_density.add_argument("pattern", help="graph or linear-combination literal/file")
     p_density.add_argument("host", help="graph literal/file")
+    p_density.set_defaults(run=_density)
 
-    p_construct = sub.add_parser("construct", help="build a derived graph")
-    c_sub = p_construct.add_subparsers(dest="construction", required=True)
-    c_blow = c_sub.add_parser("blowup", help="m-fold blow-up")
-    c_blow.add_argument("graph")
-    c_blow.add_argument("m", type=int)
-    c_subd = c_sub.add_parser("subdivide", help="gadget subdivision")
-    c_subd.add_argument("scheme")
-    c_subd.add_argument("graph")
-    c_box = c_sub.add_parser("box", help="box (cartesian) product")
-    c_box.add_argument("graph")
-    c_box.add_argument("other")
-    c_loose = c_sub.add_parser("loose", help="loose r-uniform expansion")
-    c_loose.add_argument("graph")
-    c_loose.add_argument("r", type=int)
-    c_even = c_sub.add_parser("even", help="even r-uniform expansion")
-    c_even.add_argument("graph")
-    c_even.add_argument("r", type=int)
+    # Every argument stays text until `run` reads it, so a bad value is an
+    # input error. Each `run` is a lambda, which looks its builder up by
+    # name when it runs.
+    c_sub = sub.add_parser("construct", help="build a derived graph").add_subparsers(
+        dest="construction", required=True
+    )
+    for name, about, arguments, build in (
+        ("blowup", "m-fold blow-up", "graph m",
+         lambda a: constructions.blowup(_graph(a.graph), _int(a.m))),
+        ("subdivide", "gadget subdivision", "scheme graph",
+         lambda a: constructions.subdivide(_scheme(a.scheme), _graph(a.graph))),
+        ("box", "box (cartesian) product", "graph other",
+         lambda a: constructions.box_product(_graph(a.graph), _graph(a.other))),
+        ("loose", "loose r-uniform expansion", "graph r",
+         lambda a: constructions.loose_expansion(_graph(a.graph), _int(a.r))),
+        ("even", "even r-uniform expansion", "graph r",
+         lambda a: constructions.even_expansion(_graph(a.graph), _int(a.r))),
+    ):
+        c_parser = c_sub.add_parser(name, help=about)
+        for argument in arguments.split():
+            c_parser.add_argument(argument)
+        c_parser.set_defaults(run=lambda a, build=build: _print(graph_to_text(build(a))))
 
-    p_verify = sub.add_parser("verify", help="run a verification report")
-    v_sub = p_verify.add_subparsers(dest="target", required=True)
-    # each target declares the options its report reads; no abbreviations,
-    # or gensub would read --s as its --scheme. Graphs, schemes and sample
-    # lists stay text until _run_verify, so bad values are input errors
-    names = ("tensor", "gensub", "box", "hyper", "goodman", "forcingpair", "m5")
-    targets = {name: v_sub.add_parser(name, allow_abbrev=False) for name in names}
-    graphs = {"tensor": K2_TEXT, "gensub": C4_TEXT, "box": K2_TEXT, "hyper": K2_TEXT}
-    for name, graph in graphs.items():
-        targets[name].add_argument("--graph", default=graph, help="graph literal/file")
-    for name in ("tensor", "gensub", "box"):
-        targets[name].add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    for name in ("gensub", "box", "hyper", "goodman"):
-        targets[name].add_argument("--p", help="comma-separated sample points")
-    targets["tensor"].add_argument("--s", type=int, default=2, help="copy count")
-    targets["gensub"].add_argument("--scheme", default="path:2", help="scheme name/file")
-    targets["hyper"].add_argument("--r", type=int, default=3, help="target uniformity")
-    targets["hyper"].add_argument("--m", type=int, default=1, help="block size")
-    targets["forcingpair"].add_argument("--k", type=int, default=2, help="path length")
-    for p_target in targets.values():
-        p_target.add_argument("--format", choices=("text", "machine"), default="text")
+    # each target declares the options its report reads, after its --graph
+    # default if it takes a graph; no abbreviations, or gensub would read
+    # --s as its --scheme
+    v_sub = sub.add_parser("verify", help="run a verification report").add_subparsers(
+        dest="target", required=True
+    )
+    options = {  # flag -> default, help
+        "--budget": (str(DEFAULT_BUDGET), None),
+        "--p": (None, "comma-separated sample points"),
+        "--s": ("2", "copy count"),
+        "--scheme": ("path:2", "scheme name/file"),
+        "--r": ("3", "target uniformity"),
+        "--m": ("1", "block size"),
+        "--k": ("2", "path length"),
+    }
+    for name, graph, flags, build in (
+        ("tensor", K2_TEXT, "--budget --s", lambda a: verify_tensor_power(
+            _graph(a.graph), _int(a.s), _int(a.budget))),
+        ("gensub", C4_TEXT, "--budget --p --scheme", lambda a: verify_gensubdivision(
+            _scheme(a.scheme), _graph(a.graph), _points(a.p), _int(a.budget))),
+        ("box", K2_TEXT, "--budget --p", lambda a: verify_box(
+            _graph(a.graph), _points(a.p), _int(a.budget))),
+        ("hyper", K2_TEXT, "--p --r --m", lambda a: verify_hypergraph(
+            _graph(a.graph), _int(a.r), _int(a.m), _points(a.p))),
+        ("goodman", None, "--p", lambda a: verify_goodman_lift(_points(a.p))),
+        ("forcingpair", None, "--k", lambda a: verify_forcing_pair_operator(_int(a.k))),
+        ("m5", None, "", lambda a: verify_m5()),
+    ):
+        target = v_sub.add_parser(name, allow_abbrev=False)
+        if graph:
+            target.add_argument("--graph", default=graph, help="graph literal/file")
+        for flag in flags.split():
+            default, about = options[flag]
+            target.add_argument(flag, default=default, help=about)
+        target.add_argument("--format", choices=("text", "machine"), default="text")
+        target.set_defaults(run=lambda a, build=build: _report(build(a), a.format))
     return parser
-
-
-def _run_verify(args) -> int:
-    if args.target == "tensor":
-        report = verify_tensor_power(
-            _resolve_graph(args.graph), args.s, budget=args.budget
-        )
-    elif args.target == "gensub":
-        report = verify_gensubdivision(
-            _resolve_scheme(args.scheme),
-            _resolve_graph(args.graph),
-            p_samples=_parse_p_list(args.p),
-            budget=args.budget,
-        )
-    elif args.target == "box":
-        report = verify_box(
-            _resolve_graph(args.graph),
-            p_samples=_parse_p_list(args.p),
-            budget=args.budget,
-        )
-    elif args.target == "hyper":
-        report = verify_hypergraph(
-            _resolve_graph(args.graph),
-            args.r,
-            args.m,
-            p_samples=_parse_p_list(args.p),
-        )
-    elif args.target == "goodman":
-        report = verify_goodman_lift(p_samples=_parse_p_list(args.p))
-    elif args.target == "forcingpair":
-        report = verify_forcing_pair_operator(args.k)
-    else:
-        report = verify_m5()
-    print(format_report(report, args.format))
-    return 0 if report.verdict else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "density":
-            pattern = _resolve_pattern(args.pattern)
-            host = _resolve_graph(args.host)
-            fn = {"inj": inj_density, "hom": hom_density, "limit": limit_inj_blowup}[
-                args.kind
-            ]
-            _print_value(fn(pattern, host))
-            return 0
-        if args.command == "construct":
-            if args.construction == "blowup":
-                out = blowup(_resolve_graph(args.graph), args.m)
-            elif args.construction == "subdivide":
-                out = subdivide(_resolve_scheme(args.scheme), _resolve_graph(args.graph))
-            elif args.construction == "box":
-                out = box_product(_resolve_graph(args.graph), _resolve_graph(args.other))
-            elif args.construction == "loose":
-                out = loose_expansion(_resolve_graph(args.graph), args.r)
-            else:
-                out = even_expansion(_resolve_graph(args.graph), args.r)
-            print(graph_to_text(out))
-            return 0
-        return _run_verify(args)
+        return args.run(args)
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -357,43 +357,38 @@ def _search(h: Graph) -> tuple[Graph, int]:
     perm = list(range(n))  # new position -> old vertex
     best = [-1] * len(todo)
     best_perm = perm[:]
-    count = 0
-
-    def dfs(d: int) -> None:
-        nonlocal count
-        if d == len(todo):
-            count += 1
-            best_perm[:] = perm
-            return
-        i = todo[d]
-        # only candidates with the greatest segment can reach the maximum;
-        # each of them may, so all are searched
-        cands = [v for v in slots[i] if pos[v] < 0]
-        high = max([seg[v] for v in cands])
-        ref = best[d]
-        if ref < 0:
-            best[d] = high
-        elif high < ref:
-            return
-        elif high > ref:
-            best[d] = high
-            best[d + 1 :] = [-1] * (len(todo) - 1 - d)
-            count = 0
-        rank = binom[n - 1 - i]
-        for v in cands:
-            if seg[v] != high:
-                continue
-            pos[v] = i
-            perm[i] = v
-            for ei in incident[v]:
-                t = placed[ei]
-                placed[ei] = t + 1
-                free[ei] -= v
-                if t < k:
-                    index[ei] += rank[k - t]
-                    if t + 1 == k:
-                        seg[free[ei]] += 1 << index[ei]
-            dfs(d + 1)
+    # depth first on an explicit stack: per depth, the candidates not yet
+    # tried, last first, and None until the depth is entered; perm[i] is the
+    # vertex last placed at position i, still placed when its depth resumes
+    steps = [(i, binom[n - 1 - i]) for i in todo]
+    last = len(todo) - 1
+    left: list = [None] * len(todo)
+    d, count = (0, 0) if todo else (-1, 1)  # no positions: one leaf
+    while d >= 0:
+        i, rank = steps[d]
+        cands = left[d]
+        if cands is None:
+            # only candidates with the greatest segment can reach the maximum,
+            # none if it is below the best seen here; each of them may
+            cands = [v for v in slots[i] if pos[v] < 0]
+            high = max([seg[v] for v in cands])
+            if high > best[d]:
+                best[d] = high
+                best[d + 1 :] = [-1] * (last - d)
+                count = 0
+            elif high < best[d]:
+                cands = []
+            cands = [v for v in cands if seg[v] == high]
+            if d == last and cands:
+                # each candidate ends a leaf; placed in turn, the last one
+                # would be in perm at the last leaf
+                count += len(cands)
+                perm[i] = cands[-1]
+                best_perm[:] = perm
+                cands = []
+            cands = left[d] = cands[::-1]
+        else:
+            v = perm[i]
             for ei in incident[v]:
                 t = placed[ei] - 1
                 placed[ei] = t
@@ -403,8 +398,23 @@ def _search(h: Graph) -> tuple[Graph, int]:
                     index[ei] -= rank[k - t]
                 free[ei] += v
             pos[v] = -1
+        if not cands:
+            left[d] = None
+            d -= 1
+            continue
+        v = cands.pop()
+        pos[v] = i
+        perm[i] = v
+        for ei in incident[v]:
+            t = placed[ei]
+            placed[ei] = t + 1
+            free[ei] -= v
+            if t < k:
+                index[ei] += rank[k - t]
+                if t + 1 == k:
+                    seg[free[ei]] += 1 << index[ei]
+        d += 1
 
-    dfs(0)
     new = [0] * n  # old vertex -> new position in the representative
     for i, old in enumerate(best_perm):
         new[old] = i
@@ -617,7 +627,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # scheme formats. An integer is a whole digit run, so no match can split a
 # run in two, and backtracking over a long run stays linear. It has at most
 # 4,300 digits, all that `int` reads by default, so none raises `ValueError`.
-_INT = r"(?:0|[1-9][0-9]{0,4299})(?![0-9])"
+_MAX_DIGITS = 4300
+_INT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})(?![0-9])"
 _GROUPS = rf"(?:\({_INT}(?: {_INT})*\))*"
 _GROUPS_RE = re.compile(_GROUPS)
 _GRAPH_RE = re.compile(
@@ -631,6 +642,16 @@ def _groups(text: str) -> list[tuple[int, ...]]:
     if _GROUPS_RE.fullmatch(text) is None:
         raise InputError(f"not a run of (a b c) groups: {text!r}")
     return [tuple(map(int, g.split(" "))) for g in re.findall(r"\(([^()]*)\)", text)]
+
+
+def _digits(n: int) -> int:
+    """The decimal digit count of |n|, from its bit length (at most one
+    short), since `str` refuses an int of more than 4,300 digits."""
+    n = abs(n)
+    d = max(1, int(n.bit_length() * math.log10(2)))
+    while n >= 10**d:
+        d += 1
+    return d
 
 
 def graph_to_text(g: Graph) -> str:

@@ -35,6 +35,7 @@ from fractions import Fraction
 from .algebra import (
     LinComb,
     _as_fraction,
+    _difference,
     _probability,
     _signed_sum,
     coeff_positive_at,
@@ -43,7 +44,6 @@ from .algebra import (
     lift,
     lincomb_to_text,
     nind,
-    order,
     point,
     product,
     unit,
@@ -65,6 +65,7 @@ from .errors import InputError, ResourceError
 from .functors import DEFAULT_BUDGET, functor_size, operator_apply
 from .graphs import (
     Graph,
+    _digits,
     _ints,
     complete_graph,
     cycle_graph,
@@ -152,14 +153,23 @@ def _truncate(text: str, limit: int = 220) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+def _show(v: Fraction) -> str:
+    """v as text, but a numerator or denominator of over 330 bits (about
+    100 digits) by its digit count: `_truncate` keeps 220 characters anyway,
+    and `str` refuses an int of more than 4,300 digits."""
+    a, b = (
+        str(x) if x.bit_length() <= 330 else f"<{_digits(x)} digits>"
+        for x in (abs(v.numerator), v.denominator)
+    )
+    return ("-" if v < 0 else "") + (a if b == "1" else f"{a}/{b}")
+
+
 def _exact_step(report, description, lhs: LinComb, rhs: LinComb) -> None:
-    n = max(order(lhs), order(rhs))
-    diff = lift(lhs, n).lincomb - lift(rhs, n).lincomb
-    if not diff:
-        witness = f"sides agree at uniform order {n}"
-    else:
-        witness = _truncate(f"difference at order {n}: {lincomb_to_text(diff)}")
-    report.add(description, EXACT, not diff, witness)
+    diff = _difference(lhs, rhs)
+    witness = f"sides agree at uniform order {diff.n}"
+    if diff.lincomb:
+        witness = f"difference at order {diff.n}: {lincomb_to_text(diff.lincomb)}"
+    report.add(description, EXACT, not diff.lincomb, _truncate(witness))
 
 
 def _swap_step(report, description, tau, g: Graph, sub: Graph, budget: int) -> LinComb:
@@ -195,9 +205,9 @@ def _eval_step(report, image: LinComb, sub: Graph, samples) -> None:
     bad = None
     for p in samples:
         got, want = eval_quasirandom(image, p), eval_nind_quasirandom(sub, p, u)
-        parts.append(f"p={p}: {got} = {want}")
+        parts.append(f"p={_show(p)}: {_show(got)} = {_show(want)}")
         if got != want and bad is None:
-            bad = f"image breaks at p={p}: {got} != {want}; "
+            bad = f"image breaks at p={_show(p)}: {_show(got)} != {_show(want)}; "
     report.add(
         "swap image evaluates to the subdivided graph's p^e |U|^-n at sampled "
         "quasirandom points — consistency, not a proof",
@@ -514,8 +524,8 @@ def verify_goodman_lift(p_samples=None) -> TheoremReport:
         "negative, the uniform one does not",
         EVAL,
         all(v < 0 for v in naive_vals) and all(v >= 0 for v in lifted_vals),
-        f"naive: {[str(v) for v in naive_vals]}, "
-        f"uniform: {[str(v) for v in lifted_vals]}",
+        f"naive: {[_show(v) for v in naive_vals]}, "
+        f"uniform: {[_show(v) for v in lifted_vals]}",
     )
     report.wall_time = time.perf_counter() - t0
     return report

@@ -146,6 +146,71 @@ def test_exit_code_two_on_input_errors(capsys):
         assert captured.err.startswith("error: "), argv
 
 
+def _bad_ints(v: int) -> list[str]:
+    """Spellings of v outside the text formats' number grammar: a decimal,
+    an exponent, a sign, a space, an underscore, a leading zero and
+    Arabic-Indic digits. int() reads the last five as v."""
+    t = str(v)
+    under = f"{t[0]}_{t[1:]}" if len(t) > 1 else f"0_{t}"
+    arabic = "".join(chr(0x660 + int(c)) for c in t)
+    return [f"{t}.0", f"{t}e0", f"+{t}", f" {t}", under, f"0{t}", arabic]
+
+
+# Fraction() reads each of these as 1/2
+_BAD_POINTS = ("0.5", "5e-1", "+1/2", " 1/2", "1_0/2_0", "01/2", "\u0661/\u0662")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["verify", "goodman", "--p", p] for p in _BAD_POINTS),
+        *(["verify", "box", "--p", "1/4," + p] for p in _BAD_POINTS),
+        *(["verify", "forcingpair", "--k", k] for k in _bad_ints(2)),
+        *(["verify", "tensor", "--s", s] for s in _bad_ints(2)),
+        *(["verify", "hyper", "--r", r] for r in _bad_ints(3)),
+        *(["verify", "hyper", "--m", m] for m in _bad_ints(1)),
+        *(["verify", "box", "--budget", b] for b in _bad_ints(4096)),
+        *(["construct", "blowup", K2_TEXT, m] for m in _bad_ints(2)),
+        *(["construct", "loose", K2_TEXT, r] for r in _bad_ints(3)),
+        # int() refuses the decimal and the exponent here already
+        *(["verify", "gensub", "--scheme", "blowup:" + m] for m in _bad_ints(2)[2:]),
+        *(["verify", "gensub", "--scheme", "mixed:4:" + m] for m in _bad_ints(1)[2:]),
+    ],
+)
+def test_numbers_outside_the_grammar_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_exponent_sample_point_is_refused_before_any_arithmetic(capsys):
+    # Fraction("1e-2000000") builds a two-million-digit denominator, and the
+    # report then ran for minutes
+    assert main(["verify", "goodman", "--p", "1e-2000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad sample list")
+
+
+def test_a_long_sample_point_reports_its_digit_counts(capsys):
+    # a legal point whose powers str() refuses to print: the witness gives
+    # the digit counts of each numerator and denominator instead
+    point = "1/" + "9" * 1100
+    assert main(["verify", "box", "--p", point, "--format", "machine"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert last[2:] == ["pass", "p=1/<1100 digits>: 1/<4400 digits> = 1/<4400 digits>"]
+
+
+def test_density_values_print_exactly_or_exit_two(capsys):
+    # 400 nines times the density 2/3 is past the float range, and the
+    # decimals come from the exact value
+    k2 = "*" + K2_TEXT
+    assert main(["density", "inj", "9" * 400 + k2, P2_TEXT]) == 0
+    assert capsys.readouterr().out.strip() == f"{'6' * 400} ({'6' * 400}.000000000000)"
+    assert main(["density", "limit", "-1/3" + k2, P2_TEXT]) == 0
+    assert capsys.readouterr().out.strip() == "-4/27 (-0.148148148148)"
+    # 4,300 fives times 2/3 has 4,301 digits, more than the parsers read back
+    assert main(["density", "inj", "5" * 4300 + k2, P2_TEXT]) == 2
+    assert "4,300 digits" in capsys.readouterr().err
+
+
 def test_exit_code_two_on_budget_exhaustion(capsys):
     rc = main(["verify", "tensor", "--graph", C4_TEXT, "--s", "2", "--budget", "2"])
     assert rc == 2

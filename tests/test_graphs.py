@@ -393,6 +393,14 @@ def test_automorphism_counts(g, aut):
     assert brute_canonical(g)[1] == aut
 
 
+def test_canonical_search_has_no_recursion_limit():
+    # the search runs on an explicit stack, so a path on 1,201 vertices
+    # does not meet Python's default limit of 1,000 frames
+    g = path_graph(1200)
+    assert automorphism_count(g) == 2
+    assert len(LinComb.from_graph(g).coeffs) == 1
+
+
 def test_canonical_exhaustive_small():
     # every 2-uniform graph on <= 4 vertices: canonical must agree with the
     # brute-force classes (constant on each class, distinct across classes)
