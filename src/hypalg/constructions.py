@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .algebra import LinComb, UniformRep, extend_label_set, order
+from .algebra import LinComb, UniformRep, extend_label_set
 from .errors import InputError
 from .functors import (
     ConstF,
@@ -33,17 +33,14 @@ from .functors import (
 )
 from .graphs import (
     Graph,
-    Injection,
     _groups,
     _ints,
     graph_from_text,
     graph_to_text,
-    induced_subgraph,
     is_isomorphic,
 )
 
 __all__ = [
-    "LabeledLift",
     "SubdivisionScheme",
     "blowup",
     "blowup_scheme",
@@ -52,7 +49,6 @@ __all__ = [
     "check_symmetry",
     "copies_scheme",
     "crossing_scheme",
-    "drop_labels",
     "even_expansion",
     "even_scheme",
     "lift_labels",
@@ -425,31 +421,6 @@ def lift_labels(f0, ell: int) -> LinComb:
     if ell in lc.label_set:
         raise InputError(f"label {ell} already present in {sorted(lc.label_set)}")
     return extend_label_set(lc, lc.label_set | {ell})
-
-
-@dataclass
-class LabeledLift:
-    """A uniform-order element together with its image over the enlarged
-    label set."""
-
-    source: UniformRep
-    label: int
-    lifted: LinComb
-
-    @classmethod
-    def of(cls, f0, ell: int) -> "LabeledLift":
-        (ell,) = _ints((ell,), "labels")
-        lifted = lift_labels(f0, ell)
-        if isinstance(f0, LinComb):
-            f0 = UniformRep(f0, order(f0))
-        return cls(f0, ell, lifted)
-
-
-def drop_labels(h: Graph, ell: int) -> Graph:
-    """Induced subgraph on the vertices not labeled ell."""
-    (ell,) = _ints((ell,), "label")
-    keep = tuple(v for v in range(h.n) if h.labels[v] != ell)
-    return induced_subgraph(h, Injection(len(keep), h.n, keep))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,10 @@ import math
 from fractions import Fraction
 
 from .algebra import LinComb, _coerce
-from .constructions import blowup
-from .errors import InputError, ResourceError
-from .graphs import Graph, _ints, _last_masks
+from .errors import InputError
+from .graphs import Graph, _last_masks
 
 __all__ = [
-    "blowup_density_curve",
     "hom_density",
     "inj_density",
     "limit_inj_blowup",
@@ -85,18 +83,3 @@ def limit_inj_blowup(f, h: Graph) -> Fraction:
     """
     return _map_density(f, h, induced=True)
 
-
-def blowup_density_curve(f, h: Graph, n_max: int, cap: int = 32) -> list[Fraction]:
-    """inj_density of f against the 1..n_max-fold blow-ups of h.
-
-    Convergence diagnostics for the blow-up limit; the host size h.n * n_max
-    is capped (default 32) because injection counting is exhaustive.
-    """
-    (n_max,) = _ints((n_max,), "n_max", 1)
-    (cap,) = _ints((cap,), "cap", 0)
-    if h.n * n_max > cap:
-        raise ResourceError(
-            f"largest blow-up host would have {h.n * n_max} vertices, "
-            f"above the cap {cap}"
-        )
-    return [inj_density(f, blowup(h, k)) for k in range(1, n_max + 1)]

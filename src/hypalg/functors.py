@@ -40,9 +40,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add_tallied, _aut, _coerce, _label_set, _orbit_subsets, alg_equal, product
+from .algebra import LinComb, _add_tallied, _aut, _coerce, _label_set, _orbit_subsets
 from .errors import InputError, ResourceError
-from .graphs import _INT, Graph, Injection, _ints, _moved, canonical
+from .graphs import _INT, Graph, _ints, _moved, canonical
 
 __all__ = [
     "ConstF",
@@ -50,9 +50,7 @@ __all__ = [
     "SubsetsF",
     "UnionF",
     "UpwardTransformation",
-    "apply_functor_injection",
     "apply_functor_set",
-    "check_multiplicative",
     "functor_from_text",
     "functor_size",
     "functor_to_text",
@@ -153,12 +151,6 @@ def _positions(eta, n: int, image: tuple) -> tuple:
 # for increasing maps only (r-sets and single vertices); a term's
 # automorphisms go through `_positions` uncached, as there can be n! of them
 _eta_image = lru_cache(maxsize=None)(_positions)
-
-
-def apply_functor_injection(eta, alpha: Injection) -> Injection:
-    """eta(alpha): the induced injection eta([m]) -> eta([n])."""
-    image = _positions(eta, alpha.target_n, alpha.image)
-    return Injection(len(image), functor_size(eta, alpha.target_n), image)
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +442,6 @@ def operator_apply(tau: UpwardTransformation, f, budget: int = DEFAULT_BUDGET) -
     for g, c in f.coeffs.items():
         _term_preimages(tau, g, c, out, budget)
     return LinComb._raw(tau.r, tau.labels, out)
-
-
-def check_multiplicative(
-    tau: UpwardTransformation, f: LinComb, g: LinComb, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Whether the operator of tau respects the product on this pair —
-    guaranteed when the functor has no constant part, |eta([0])| = 0,
-    possibly false otherwise. Every `SubdivisionScheme` transformation meets
-    that hypothesis, so on one this checks the implementation, not the
-    lemma."""
-    lhs = operator_apply(tau, product(f, g), budget)
-    rhs = product(operator_apply(tau, f, budget), operator_apply(tau, g, budget))
-    return alg_equal(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

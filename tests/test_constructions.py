@@ -8,7 +8,6 @@ import pytest
 from hypalg import (
     Graph,
     InputError,
-    LabeledLift,
     LinComb,
     SubdivisionScheme,
     alg_equal,
@@ -21,7 +20,6 @@ from hypalg import (
     copies_scheme,
     crossing_scheme,
     cycle_graph,
-    drop_labels,
     even_expansion,
     even_scheme,
     extend_label_set,
@@ -413,22 +411,6 @@ def test_lift_labels_rejects():
         lift_labels(LinComb.from_graph(K2), 0)  # label already present
     with pytest.raises(InputError):
         lift_labels("not an element", 1)
-
-
-def test_labeled_lift_record():
-    f = nind(LinComb.from_graph(K2))
-    rec = LabeledLift.of(f, 1)
-    assert rec.label == 1
-    assert rec.source.n == 2
-    assert rec.lifted == lift_labels(f, 1)
-
-
-def test_drop_labels():
-    h = Graph(2, 3, (0, 1, 0), ((0, 1), (1, 2)))
-    assert drop_labels(h, 1) == Graph(2, 2, (0, 0), ())
-    assert drop_labels(h, 7) == h
-    all_dumped = Graph(2, 2, (1, 1), ((0, 1),))
-    assert drop_labels(all_dumped, 1) == Graph(2, 0)
 
 
 # ---------------------------------------------------------------------------

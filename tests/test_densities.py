@@ -11,8 +11,6 @@ from hypalg import (
     Graph,
     InputError,
     LinComb,
-    ResourceError,
-    blowup_density_curve,
     complete_graph,
     cycle_graph,
     hom_density,
@@ -164,14 +162,6 @@ def test_densities_match_brute_force_per_class(r, n_max):
             assert hom_density(g, h) == Fraction(brute_hom_count(g, h), n**g.n), (g, h)
             limit = Fraction(brute_limit_count(g, h), n**g.n)
             assert limit_inj_blowup(g, h) == limit, (g, h)
-
-
-def test_blowup_density_curve():
-    assert blowup_density_curve(K2, K2, 2) == [Fraction(1), Fraction(2, 3)]
-    with pytest.raises(ResourceError):
-        blowup_density_curve(K2, K2, 20, cap=32)
-    with pytest.raises(InputError):
-        blowup_density_curve(K2, K2, 0)
 
 
 def test_uniformity_mismatch_rejected():

@@ -1,10 +1,13 @@
-"""The README's "Text formats" examples parse as documented, and its
-"Command line" examples run as documented."""
+"""The README's "Text formats" examples parse as documented, its
+"Command line" examples run as documented, and its "What's inside" table
+names only exported functions and classes."""
 
+import fnmatch
 import re
 import shlex
 from pathlib import Path
 
+import hypalg
 from hypalg import graph_from_text, graph_to_text, lincomb_from_text, scheme_from_text
 from hypalg.cli import main
 
@@ -78,3 +81,27 @@ def test_readme_command_examples_run(capsys):
     assert documented == 1
     inj = [exp for argv, exp in examples if argv[:2] == ["density", "inj"]]
     assert inj == ["2/3 (0.666666666667)"]
+
+
+def test_whats_inside_names_are_exported():
+    # a span's leading identifier is the name: `operator_apply(tau, f,
+    # budget)` reads as operator_apply, and `verify_*` must match one
+    rows = [
+        line.split("|")[1:3]
+        for line in _section("What's inside", "##").splitlines()
+        if line.startswith("| `hypalg.")
+    ]
+    assert len(rows) == 8
+    spans = [
+        span
+        for module, contents in rows
+        if module.strip() != "`hypalg.cli`"
+        for span in re.findall(r"`([^`]*)`", contents)
+    ]
+    for span in spans:
+        if span == "budget":  # operator_apply's parameter
+            continue
+        if span.endswith("*"):
+            assert fnmatch.filter(hypalg.__all__, span), span
+        else:
+            assert re.match(r"\w+", span)[0] in hypalg.__all__, span
