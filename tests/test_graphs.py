@@ -162,6 +162,10 @@ def _edge_rule(**fields):
             "labels must be ints, got (1.5,)",
         ),
         (
+            lambda: lift_labels(nind(complete_graph(2, 2)), Fraction(1)),
+            "labels must be ints, got (Fraction(1, 1),)",
+        ),
+        (
             lambda: check_symmetry(complete_graph(2, 2), [(0.5,), (1.2,)]),
             "vertices must be ints, got (0.5,)",
         ),
@@ -227,6 +231,10 @@ def _edge_rule(**fields):
         ),
         (lambda: _edge_rule(labels=frozenset()), "labels must be nonempty"),
         (
+            lambda: Graph(2, 2, None, (("a", 1),)),
+            "edge vertices must be ints, got ('a', 1)",
+        ),
+        (
             lambda: lincomb_from_text("1*graph{r=2;n=1;l=;e=}", r="2"),
             "uniformity must be ints, got ('2',)",
         ),
@@ -238,6 +246,57 @@ def _edge_rule(**fields):
     ],
 )
 def test_entry_points_reject_non_int_labels_and_vertices(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LinComb.zero(0), "uniformity must be >= 1, got 0"),
+        (lambda: lincomb_from_text("0", r=0), "uniformity must be >= 1, got 0"),
+        (lambda: UniformRep(LinComb.zero(2), -1), "order must be >= 0, got -1"),
+        (lambda: path_graph(-1), "edge count must be >= 0, got -1"),
+        (lambda: SubsetsF(-1), "subset size must be >= 0, got -1"),
+        (lambda: apply_functor_set(SubsetsF(1), -1), "set size must be >= 0, got -1"),
+        (
+            lambda: operator_apply(_edge_rule(), K2, budget=0),
+            "budget must be >= 1, got 0",
+        ),
+        (
+            lambda: SubdivisionScheme(Graph(2, 1), K2, 1),
+            "base uniformity must be >= 2, got 1",
+        ),
+        (lambda: blowup_scheme(0), "block size must be >= 1, got 0"),
+        (lambda: mixed_scheme(5, 0), "block size must be >= 1, got 0"),
+        (lambda: copies_scheme(0), "copy count must be >= 1, got 0"),
+        (lambda: path_scheme(0), "path length must be >= 1, got 0"),
+        (lambda: loose_scheme(2), "uniformity must be >= 3, got 2"),
+        (lambda: loose_expansion(K2, 2), "uniformity must be >= 3, got 2"),
+        (lambda: blowup(K2, 0), "blowup factor must be >= 1, got 0"),
+        (lambda: verify_tensor_power(K2, 0), "copy count must be >= 1, got 0"),
+    ],
+    ids=[
+        "zero",
+        "lincomb-text",
+        "uniform-rep",
+        "path-graph",
+        "subsets",
+        "functor-set",
+        "operator-budget",
+        "scheme-base-uniformity",
+        "blowup-scheme",
+        "mixed-scheme",
+        "copies-scheme",
+        "path-scheme",
+        "loose-scheme",
+        "loose-expansion",
+        "blowup",
+        "tensor-power",
+    ],
+)
+def test_entry_points_enforce_their_lower_bounds(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
