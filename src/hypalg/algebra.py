@@ -438,16 +438,10 @@ def alg_equal(f, g) -> bool:
     return not _difference(f, g).lincomb
 
 
-def coeff_positive_at(f, n: int, eps=Fraction(0)) -> bool:
-    """Whether every coefficient of the order-n representative of
-    f + eps * unit is nonnegative."""
-    f = _coerce(f)
-    eps = _as_fraction(eps)
-    if eps < 0:
-        raise InputError(f"eps must be >= 0, got {eps}")
-    g = f + eps * unit(f.r, f.label_set)
-    rep = lift(g, n)
-    return all(c >= 0 for c in rep.lincomb.coeffs.values())
+def coeff_positive_at(f, n: int) -> bool:
+    """Whether every coefficient of the order-n representative of f is
+    nonnegative."""
+    return all(c >= 0 for c in lift(f, n).lincomb.coeffs.values())
 
 
 def eval_quasirandom(f, p) -> Fraction:

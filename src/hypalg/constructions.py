@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .algebra import LinComb, UniformRep, extend_label_set
+from .algebra import LinComb, _coerce, extend_label_set
 from .errors import InputError
 from .functors import (
     ConstF,
@@ -397,25 +397,18 @@ def even_expansion(g: Graph, r: int) -> Graph:
 
 
 def lift_labels(f0, ell: int) -> LinComb:
-    """Reinterpret a uniform-order element over the label set enlarged by ell.
+    """Reinterpret a uniform-order element (a Graph, LinComb or UniformRep,
+    read as the algebra reads them) over the label set enlarged by ell.
 
     Requires uniform order: mixing orders before enlarging the label set
     breaks positivity (hosts concentrated on the new label separate the
     orders), so non-uniform input is rejected.
     """
-    if isinstance(f0, UniformRep):
-        lc = f0.lincomb
-    elif isinstance(f0, LinComb):
-        orders = {g.n for g in f0.coeffs}
-        if len(orders) > 1:
-            raise InputError(
-                f"label lift needs a uniform-order element; found orders "
-                f"{sorted(orders)}"
-            )
-        lc = f0
-    else:
+    lc = _coerce(f0)
+    orders = {g.n for g in lc.coeffs}
+    if len(orders) > 1:
         raise InputError(
-            f"expected UniformRep or LinComb, got {type(f0).__name__}"
+            f"label lift needs a uniform-order element; found orders {sorted(orders)}"
         )
     (ell,) = _ints((ell,), "labels")
     if ell in lc.label_set:

@@ -254,42 +254,16 @@ class UpwardTransformation:
                 )
 
 
-def _infer_order(eta, n_vertices: int, base_r: int) -> int:
-    # |eta([k])| never falls as k grows: C(k, j) does not, a constant stays,
-    # and unions and products add and multiply sizes. So the search stops at
-    # the first k past the vertex count, before building larger eta([k])
-    matches = []
-    for k in range(n_vertices + base_r + 3):
-        size = functor_size(eta, k)
-        if size > n_vertices:
-            break
-        if size == n_vertices:
-            matches.append(k)
-    if len(matches) > 1:
-        raise InputError(
-            f"vertex count {n_vertices} matches eta([k]) for several k "
-            f"({matches[0]}, {matches[1]}, ...); pass n explicitly"
-        )
-    if not matches:
-        raise InputError(
-            f"vertex count {n_vertices} is not the size of eta([n]) for any n"
-        )
-    return matches[0]
-
-
-def tau_apply(tau: UpwardTransformation, h: Graph, n: int = None) -> Graph:
+def tau_apply(tau: UpwardTransformation, h: Graph, n: int) -> Graph:
     """Apply the transformation to a graph on eta([n]), yielding one on [n].
 
-    If n is omitted it is inferred from the vertex count when that is
-    unambiguous (it never is for constant functors — pass n then).
-    """
+    n is always given: the vertex count of h cannot fix it in general (a
+    constant functor has the same size on every [n])."""
     if h.r != tau.r:
         raise InputError(f"input has uniformity {h.r}, transformation reads {tau.r}")
     if not set(h.labels) <= tau.labels:
         raise InputError("input graph labels outside the transformation's label set")
-    if n is None:
-        n = _infer_order(tau.eta, h.n, tau.base_r)
-    elif functor_size(tau.eta, n) != h.n:
+    if functor_size(tau.eta, n) != h.n:
         raise InputError(
             f"graph on {h.n} vertices is not a graph on eta([{n}]) "
             f"(which has {functor_size(tau.eta, n)} elements)"
@@ -466,44 +440,34 @@ def functor_to_text(eta) -> str:
 
 
 def functor_from_text(text: str):
-    """Parse `sub(k)`, `const(s)`, `u(A,B)`, `x(A,B)` expressions: k and s
-    are ASCII integers without leading zeros, and ASCII whitespace may
-    surround any token. `u` and `x` nest at most 100 deep, inside the
-    recursion limit.
-
-    `const(s)` denotes the constant set {0..s-1}; round-trips with
-    functor_to_text for functors built that way.
+    """The functor of a `sub(k)`, `const(s)`, `u(A,B)` or `x(A,B)`
+    expression, where k and s are ASCII integers without leading zeros and
+    `const(s)` is the constant set {0..s-1}. The text is accepted exactly
+    when `functor_to_text` prints back its tokens, so ASCII whitespace may
+    surround any token and nothing else varies; `u` and `x` nest at most 100
+    deep, as the printer and dataclass equality recurse. Anything else
+    raises `InputError`.
     """
-    if _TOKENS_RE.fullmatch(text) is None:
-        raise InputError(f"bad functor expression: {text!r}")
-    tokens = _TOKEN_RE.findall(text)
-
-    def parse(i: int, depth: int):
-        if i >= len(tokens):
-            raise InputError(f"truncated functor expression: {text!r}")
-        if depth > 100:
-            raise InputError(f"functor expression nests deeper than 100: {text!r}")
-        head = tokens[i]
-        if head == "sub" or head == "const":
-            if i + 3 >= len(tokens) or tokens[i + 1] != "(" or tokens[i + 3] != ")":
-                raise InputError(f"expected {head}(<int>) in {text!r}")
-            if not tokens[i + 2].isdigit():
-                raise InputError(f"expected integer argument to {head} in {text!r}")
-            k = int(tokens[i + 2])
-            return (SubsetsF(k) if head == "sub" else ConstF(tuple(range(k)))), i + 4
-        if head in ("u", "x"):
-            if i + 1 >= len(tokens) or tokens[i + 1] != "(":
-                raise InputError(f"expected '(' after {head} in {text!r}")
-            left, j = parse(i + 2, depth + 1)
-            if j >= len(tokens) or tokens[j] != ",":
-                raise InputError(f"expected ',' in {head}(...) in {text!r}")
-            right, j2 = parse(j + 1, depth + 1)
-            if j2 >= len(tokens) or tokens[j2] != ")":
-                raise InputError(f"expected ')' closing {head}(...) in {text!r}")
-            return (UnionF(left, right) if head == "u" else ProductF(left, right)), j2 + 1
-        raise InputError(f"unexpected token {head!r} in {text!r}")
-
-    eta, end = parse(0, 0)
-    if end != len(tokens):
-        raise InputError(f"trailing tokens after functor expression: {text!r}")
-    return eta
+    tokens = _TOKEN_RE.findall(text) if _TOKENS_RE.fullmatch(text) else []
+    # a prefix expression, parentheses and commas skipped, read right to left
+    # onto a stack of integers and (functor, u/x depth) pairs: no recursion
+    stack = []
+    for t in reversed(tokens):
+        if t.isdigit():
+            stack.append(int(t))
+        elif t in ("sub", "const") and stack and isinstance(stack[-1], int):
+            k = stack.pop()
+            stack.append((SubsetsF(k) if t == "sub" else ConstF(tuple(range(k))), 0))
+        elif t in ("u", "x") and len(stack) > 1 and all(
+            isinstance(a, tuple) and a[1] < 100 for a in stack[-2:]
+        ):
+            (left, i), (right, j) = stack.pop(), stack.pop()
+            stack.append(((UnionF if t == "u" else ProductF)(left, right), max(i, j) + 1))
+        elif t not in "(),":
+            break
+    else:
+        if len(stack) == 1 and isinstance(stack[0], tuple):
+            eta = stack[0][0]
+            if _TOKEN_RE.findall(functor_to_text(eta)) == tokens:
+                return eta
+    raise InputError(f"not a functor expression: {text!r}")

@@ -51,7 +51,6 @@ from .errors import InputError
 
 __all__ = [
     "Graph",
-    "automorphism_count",
     "canonical",
     "complete_bipartite",
     "complete_graph",
@@ -487,10 +486,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         and sorted(zip(g.degrees, g.labels)) == sorted(zip(h.degrees, h.labels))
         and any(_last_masks(g, h, induced=False))
     )
-
-
-def automorphism_count(g: Graph) -> int:
-    return canonical(g)[1]
 
 
 # ---------------------------------------------------------------------------

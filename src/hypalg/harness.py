@@ -593,10 +593,6 @@ class BoundPolynomial:
         norm.sort(reverse=True)
         object.__setattr__(self, "coeffs", tuple(norm))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundPolynomial":
-        return cls(tuple(d.items()))
-
     def __call__(self, p) -> Fraction:
         p = _as_fraction(p, "sample points")
         return sum((c * p**e for e, c in self.coeffs), Fraction(0))

@@ -14,7 +14,6 @@ from hypalg import (
     LinComb,
     UniformRep,
     alg_equal,
-    automorphism_count,
     coeff_positive_at,
     complete_graph,
     cycle_graph,
@@ -165,7 +164,7 @@ def test_unit_lift_counts_past_the_brute_force_reach(r, n, u):
     rep = lift(unit(r, frozenset(range(u))), n).lincomb
     assert len(rep.coeffs) == burnside_class_count(r, n, u)
     for h, c in rep.coeffs.items():
-        assert c == math.factorial(n) // automorphism_count(h)
+        assert c == math.factorial(n) // canonical(h)[1]
     assert sum(rep.coeffs.values()) == 2 ** math.comb(n, r) * u**n
 
 
@@ -384,14 +383,12 @@ def test_goodman_uniform_representative():
     assert len(rep.coeffs) == 4
     assert not coeff_positive_at(f, 3)
     assert not coeff_positive_at(f, 4)
-    assert coeff_positive_at(f, 3, eps=Fraction(1, 4))
+    assert coeff_positive_at(f + Fraction(1, 4) * unit(2), 3)
 
 
 def test_coeff_positive_at():
     assert coeff_positive_at(LinComb.from_graph(K2), 3)
     assert coeff_positive_at(unit(2), 4)
-    with pytest.raises(InputError):
-        coeff_positive_at(unit(2), 2, eps=Fraction(-1))
 
 
 def test_eval_quasirandom_frozen():

@@ -401,6 +401,8 @@ def test_lift_labels_frozen():
     lifted = lift_labels(f, 1)
     assert lifted == extend_label_set(f, {0, 1})
     assert lifted.label_set == frozenset({0, 1})
+    # a Graph is read as the algebra reads it, as its one-term combination
+    assert lift_labels(K2, 1) == lift_labels(LinComb.from_graph(K2), 1)
 
 
 def test_lift_labels_rejects():
@@ -409,7 +411,7 @@ def test_lift_labels_rejects():
         lift_labels(mixed, 1)  # mixed orders
     with pytest.raises(InputError):
         lift_labels(LinComb.from_graph(K2), 0)  # label already present
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^expected LinComb, UniformRep or Graph, got str$"):
         lift_labels("not an element", 1)
 
 

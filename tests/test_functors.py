@@ -15,7 +15,6 @@ from hypalg import (
     LinComb,
     ProductF,
     ResourceError,
-    SubdivisionScheme,
     SubsetsF,
     UnionF,
     UpwardTransformation,
@@ -143,6 +142,16 @@ def test_functor_text_round_trip():
         pytest.param(f"sub({'1' * 5000})", id="5000-digit argument"),
         pytest.param("u(" * 1000 + "sub(1)" + ",sub(1))" * 1000, id="1000 nested u"),
         pytest.param("x(" * 101 + "sub(1)" + ",sub(1))" * 101, id="101 nested x"),
+        # parentheses, commas and arguments out of place
+        "u(sub(1)sub(2))",
+        "u(sub(1),,sub(2))",
+        "u((sub(1),sub(2)))",
+        "sub(1 2)",
+        "sub 1",
+        "u(sub(1),sub(2),sub(3))",
+        "(sub(1))",
+        # deep in u but not in parentheses: refused before the printer recurses
+        pytest.param("u" * 3000 + "sub(1)" * 3001, id="3000 u without parentheses"),
     ],
 )
 def test_functor_text_rejects(text):
@@ -155,10 +164,10 @@ def test_tau_apply_box_scheme():
     tau = scheme.transformation()
     c4 = cycle_graph(4)
     sub = subdivide(scheme, c4)
-    assert tau_apply(tau, sub) == c4
+    assert tau_apply(tau, sub, 4) == c4
     # dropping one crossing edge erases exactly the base edges that need it
     weaker = Graph(2, sub.n, None, tuple(e for e in sub.edges if e != (0, 1)))
-    out = tau_apply(tau, weaker)
+    out = tau_apply(tau, weaker, 4)
     assert (0, 1) not in out.edge_set and (0, 3) not in out.edge_set
 
 
@@ -166,10 +175,10 @@ def test_tau_apply_labeled_box_scheme():
     scheme = box_scheme()
     tau = scheme.transformation(labeled=True)
     sub = subdivide(scheme, path_graph(2))
-    assert tau_apply(tau, sub) == Graph(2, 3, (0, 0, 0), path_graph(2).edges)
+    assert tau_apply(tau, sub, 3) == Graph(2, 3, (0, 0, 0), path_graph(2).edges)
     # remove one block's internal edge: that vertex falls to the dump label
     weaker = Graph(2, sub.n, None, tuple(e for e in sub.edges if e != (4, 5)))
-    out = tau_apply(tau, weaker)
+    out = tau_apply(tau, weaker, 3)
     assert out.labels == (0, 0, 1)
     # edge rule reads only the crossing gadget, so base edges survive
     assert out.edge_set == path_graph(2).edge_set
@@ -178,37 +187,18 @@ def test_tau_apply_labeled_box_scheme():
 def test_tau_apply_validation():
     tau = box_scheme().transformation()
     with pytest.raises(InputError):
-        tau_apply(tau, complete_graph(3, 4))  # wrong uniformity
+        tau_apply(tau, complete_graph(3, 4), 2)  # wrong uniformity
     with pytest.raises(InputError):
-        tau_apply(tau, complete_graph(2, 5))  # 5 is not |eta([n])| for any n
-    with pytest.raises(InputError):
-        tau_apply(tau, Graph(2, 4, (0, 0, 0, 1), ()))  # label outside tau's set
+        tau_apply(tau, Graph(2, 4, (0, 0, 0, 1), ()), 2)  # label outside tau's set
     with pytest.raises(InputError):
         tau_apply(tau, complete_graph(2, 4), 3)  # eta([3]) has 6 elements
 
 
-def test_infer_order_ambiguous_for_const():
+def test_tau_apply_constant_functor():
+    # eta([n]) has the same two elements for every n, so only n fixes the output
     tau = UpwardTransformation(ConstF((0, 1)), 2, 2, Graph(2, 2, None, ((0, 1),)))
-    with pytest.raises(InputError, match="pass n explicitly"):
-        tau_apply(tau, complete_graph(2, 2))
     assert tau_apply(tau, complete_graph(2, 2), 3) == complete_graph(2, 3)
     assert tau_apply(tau, Graph(2, 2), 3) == Graph(2, 3)
-
-
-def test_infer_order_stops_past_the_vertex_count(monkeypatch):
-    # |eta([k])| = 2k + 24*C(k, 2) never falls as k grows, so a graph on
-    # eta([3]), 78 vertices, needs eta([k]) only up to the first k past 78
-    scheme = SubdivisionScheme(Graph(4, 2), Graph(4, 28, None, ((0, 1, 2, 3),)), 2)
-    tau = scheme.transformation()
-    real, seen = functors.functor_size, []
-
-    def recording(eta, k):
-        seen.append(k)
-        return real(eta, k)
-
-    monkeypatch.setattr(functors, "functor_size", recording)
-    assert tau_apply(tau, Graph(4, 78)) == Graph(2, 3)
-    assert seen == [0, 1, 2, 3, 4]
 
 
 def test_transformation_validation():
@@ -231,7 +221,7 @@ def test_transformation_validation():
         )
     # a 1-uniform output has no permutation to commute with
     one = UpwardTransformation(eta, 2, 1, Graph(2, 1))
-    assert tau_apply(one, Graph(2, 3)) == Graph(1, 3, None, ((0,), (1,), (2,)))
+    assert tau_apply(one, Graph(2, 3), 3) == Graph(1, 3, None, ((0,), (1,), (2,)))
 
 
 def test_ill_defined_transformation_rejected():
@@ -256,7 +246,7 @@ def test_well_definedness_has_no_size_ceiling():
     # blowup:4 has 28 slots on eta([2])
     scheme = blowup_scheme(4)
     sub = subdivide(scheme, path_graph(3))
-    assert tau_apply(scheme.transformation(), sub) == path_graph(3)
+    assert tau_apply(scheme.transformation(), sub, 4) == path_graph(3)
 
 
 def _constructs(fields):

@@ -140,7 +140,7 @@ def test_bound_polynomial_basics():
     assert poly.to_text() == "-1*p^1 + 2"
     assert poly(Fraction(1, 2)) == Fraction(3, 2)
     assert BoundPolynomial(()).to_text() == "0"
-    assert BoundPolynomial.from_dict({2: Fraction(1, 3)})(3) == 3
+    assert BoundPolynomial(((2, Fraction(1, 3)),))(3) == 3
     with pytest.raises(InputError):
         BoundPolynomial(((-1, Fraction(1)),))
     with pytest.raises(InputError):

@@ -1,6 +1,6 @@
 """The README's "Text formats" examples parse as documented, its
 "Command line" examples run as documented, and its "What's inside" table
-names only exported functions and classes."""
+names only exported functions and classes and counts `hypalg.__all__`."""
 
 import fnmatch
 import re
@@ -8,7 +8,14 @@ import shlex
 from pathlib import Path
 
 import hypalg
-from hypalg import graph_from_text, graph_to_text, lincomb_from_text, scheme_from_text
+from hypalg import (
+    box_scheme,
+    functor_from_text,
+    graph_from_text,
+    graph_to_text,
+    lincomb_from_text,
+    scheme_from_text,
+)
 from hypalg.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,6 +53,9 @@ def test_readme_text_format_literals_parse():
     combs = [span for span in re.findall(r"`([^`]*)`", section) if "*graph{" in span]
     assert len(combs) == 1
     assert len(lincomb_from_text(combs[0]).coeffs) == 2
+    etas = [span for span in re.findall(r"`([^`]*)`", section) if "sub(1)" in span]
+    assert etas == ["u(x(sub(1),const(2)),x(sub(2),const(0)))"]
+    assert functor_from_text(etas[0]) == box_scheme().eta()
     scheme = scheme_from_text(blocks[1])
     assert (scheme.f_e.n, scheme.base_r) == (4, 2)
 
@@ -92,6 +102,9 @@ def test_whats_inside_names_are_exported():
         if line.startswith("| `hypalg.")
     ]
     assert len(rows) == 8
+    assert f"`hypalg.__all__` holds {len(hypalg.__all__)} names." in _section(
+        "What's inside", "##"
+    )
     spans = [
         span
         for module, contents in rows
