@@ -13,16 +13,17 @@ search tree is small on sparse graphs: with positions partitioned by
 (label, degree) and present edges preferred, `canonical(cycle_graph(18))`
 takes 3 ms (36 s with a label-only partition and absent edges first) and a
 path on 11 vertices 0.1 ms (2-vCPU Xeon, Python 3.11). Isolated vertices
-keep their places, so one edge on 10 vertices takes 0.05 ms, not 0.34 s.
-But the search visits one leaf per automorphism of the other vertices, so
-`canonical(complete_bipartite(5, 5))` (|Aut| = 28,800) takes about 0.2 s
-where the pairwise search takes under 1 ms. That is why `is_isomorphic`
-does not compare canonical forms. The pairwise search is `_last_masks`,
-the one vertex-map search, which also serves the algebra (through `_maps`)
-and the densities. It keeps host vertices and (r-1)-sets as bit masks,
-yields the mask of the last pattern vertex's images, and checks every
-r-set of the pattern for an induced map, else only its edges, enough for
-`is_isomorphic`.
+keep their places, and each class of twins is placed in one order, so
+one edge on 10 vertices takes 0.05 ms, not 0.34 s, and
+`canonical(complete_bipartite(5, 5))` (|Aut| = 28,800) 0.3 ms, not 0.13 s.
+But the search still visits one leaf per coset of the twin group: a cycle
+has no twins, so C200 (|Aut| = 400) takes about 1 s where the pairwise
+search takes milliseconds. That is why `is_isomorphic` does not compare
+canonical forms. The pairwise search is `_last_masks`, the one vertex-map
+search, which also serves the algebra (through `_maps`) and the densities.
+It keeps host vertices and (r-1)-sets as bit masks, yields the mask of the
+last pattern vertex's images, and checks every r-set of the pattern for an
+induced map, else only its edges, enough for `is_isomorphic`.
 
 The text format is a single line::
 
@@ -178,7 +179,7 @@ class Graph:
 
 def _moved(pos: tuple, edges) -> list:
     """Each r-set in `edges` moved by the vertex map `pos`, sorted."""
-    return [tuple(sorted(pos[v] for v in e)) for e in edges]
+    return [tuple(sorted(map(pos.__getitem__, e))) for e in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,16 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     isolated vertex's segment is all absent anywhere, so it keeps its
     place, and a (label, 0) cell of k of them multiplies the count by k!.
 
+    Twins count the same way. Call u and v twins when the transposition
+    (u v) is an automorphism. That is an equivalence, since (u w) = (u v)
+    (v w) (u v), and its classes generate the twin group T, the product of
+    the classes' symmetric groups; T is normal in Aut, as a conjugate of a
+    twin swap is one. Two unplaced twins have equal segments, so the
+    search places the members of each class in increasing vertex order:
+    it keeps the same maximum and exactly one maximal relabeling per coset
+    of T, and |Aut| is |T| times the leaves reached, times the factor of
+    the isolated vertices.
+
     On a cache miss, g is first relabelled in (label, degree) order, ties
     broken by vertex number, and that graph is looked up; the search runs
     only when it misses too. Many graphs share one such relabelling (in
@@ -219,7 +230,8 @@ def canonical(g: Graph) -> tuple[Graph, int]:
     for e in g.edges:
         for v in e:
             degree[v] += 1
-    order = sorted(range(n), key=lambda v: (g.labels[v], degree[v]))
+    key = list(zip(g.labels, degree))
+    order = sorted(range(n), key=key.__getitem__)
     new = [0] * n  # old vertex -> position in the relabelled graph
     for i, v in enumerate(order):
         new[v] = i
@@ -262,10 +274,22 @@ def _search(h: Graph) -> tuple[Graph, int]:
     slots = [range(bisect_left(key, c), bisect_right(key, c)) for c in key]
     todo = [i for i in range(n) if key[i][1]]  # the positions searched
     isolated = math.prod(math.factorial(key.count(c)) for c in set(key) if not c[1])
+    # each twin class is placed in increasing vertex order: prev[v] is the
+    # member before v, or n, whose pos is 0 (always placed); tied marks the
+    # positions of cells that hold twins, the only ones that test prev
+    prev = [n] * n
+    tied = [False] * n
+    twins = 1
+    for c in _twin_classes(h, incident, slots):
+        twins *= math.factorial(len(c))
+        for a, b in zip(c, c[1:]):
+            prev[b] = a
+        for i in slots[c[0]]:
+            tied[i] = True
     placed = [0] * len(h.edges)  # placed vertices per edge
     index = [0] * len(h.edges)  # bit index of those vertices' positions
     free = [sum(e) for e in h.edges]  # sum of unplaced vertices per edge
-    pos = [-1] * n  # old vertex -> new position, -1 while unplaced
+    pos = [-1] * n + [0]  # old vertex -> new position, -1 while unplaced
     perm = list(range(n))  # new position -> old vertex
     best = [-1] * len(todo)
     best_perm = perm[:]
@@ -282,7 +306,10 @@ def _search(h: Graph) -> tuple[Graph, int]:
         if cands is None:
             # only candidates with the greatest segment can reach the maximum,
             # none if it is below the best seen here; each of them may
-            cands = [v for v in slots[i] if pos[v] < 0]
+            if tied[i]:
+                cands = [v for v in slots[i] if pos[v] < 0 <= pos[prev[v]]]
+            else:
+                cands = [v for v in slots[i] if pos[v] < 0]
             high = max([seg[v] for v in cands])
             if high > best[d]:
                 best[d] = high
@@ -331,9 +358,53 @@ def _search(h: Graph) -> tuple[Graph, int]:
     for i, old in enumerate(best_perm):
         new[old] = i
     rep = Graph._trusted(r, n, h.labels, tuple(sorted(_moved(new, h.edges))))
-    result = (rep, count * isolated)
+    result = (rep, count * twins * isolated)
     _CANON_CACHE[rep] = result
     return result
+
+
+def _twin_classes(h: Graph, incident: list, slots: list) -> list[list[int]]:
+    """The classes of two or more twins among h's non-isolated vertices,
+    each in increasing order; `incident` and `slots` are `_search`'s.
+
+    Twins u, v (the transposition (u v) is an automorphism) share a (label,
+    degree) cell. If they share an edge, their closed neighbourhoods (the
+    vertices of their edges) are equal; if not, their open ones are. No
+    closed neighbourhood is an open one, as a vertex lies in its own closed
+    one and in the open one of each vertex it shares an edge with, so one
+    dictionary buckets both, and only vertices in one bucket are compared,
+    by the link test itself: the edges of u without v, with u replaced by
+    v, are the edges of v without u. Twinhood is an equivalence, so each
+    vertex is compared with the first member of each class found so far.
+    For r = 2 each bucket is one class.
+    """
+    edges = h.edges
+    buckets: dict = {}
+    for v, s in enumerate(slots):
+        if incident[v] and len(s) > 1:
+            near = 0  # the closed neighbourhood's vertex bits
+            for ei in incident[v]:
+                for w in edges[ei]:
+                    near |= 1 << w
+            buckets.setdefault((s.start, near), []).append(v)
+            buckets.setdefault((s.start, near ^ 1 << v), []).append(v)
+
+    def rest(u: int, v: int) -> set:
+        return {frozenset(edges[ei]) - {u} for ei in incident[u] if v not in edges[ei]}
+
+    classes = []
+    for members in buckets.values():
+        if len(members) > 1:
+            split: list[list[int]] = []
+            for v in members:
+                for c in split:
+                    if rest(c[0], v) == rest(v, c[0]):
+                        c.append(v)
+                        break
+                else:
+                    split.append([v])
+            classes += [c for c in split if len(c) > 1]
+    return classes
 
 
 # ---------------------------------------------------------------------------

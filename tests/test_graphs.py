@@ -428,6 +428,26 @@ def _random_graph(rng, r, n, label_count=1):
     return Graph(r, n, labels, edges)
 
 
+def _multipartite(sizes, labels=None):
+    """The complete multipartite graph with parts of these sizes."""
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    slots = combinations(range(len(part)), 2)
+    edges = tuple(e for e in slots if part[e[0]] != part[e[1]])
+    return Graph(2, len(part), labels, edges)
+
+
+def _with_twin(rng, g, v):
+    """g with a vertex g.n added as a twin of v: v's label, a copy of each
+    edge of v, and each r-set holding both with probability 1/2."""
+    n = g.n
+    copies = [tuple(n if x == v else x for x in e) for e in g.edges if v in e]
+    others = [u for u in range(n) if u != v]
+    pairs = combinations(others, g.r - 2)
+    joined = [(v, *t, n) for t in pairs if rng.random() < 0.5]
+    edges = g.edges + tuple(copies + joined)
+    return Graph(g.r, n + 1, g.labels + (g.labels[v],), edges)
+
+
 def test_canonical_matches_reference_search():
     # the (label, degree)-partitioned, present-first search picks other
     # representatives than the original tuple-segment search, but the same
@@ -455,6 +475,23 @@ def test_canonical_matches_reference_search():
         g = _random_graph(rng, rng.choice((2, 3)), rng.randint(2, 4), 3)
         extra = tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
         g = Graph(g.r, g.n + len(extra), g.labels + extra, g.edges)
+        graphs.append(_relabeled(rng, g))
+    # twins: blow-ups, complete multipartite graphs, twins split across
+    # label cells, and random graphs with twins added that share an edge
+    # or not, beside vertices of their cells that are no twins
+    for g in (path_graph(2), cycle_graph(3), cycle_graph(4), complete_graph(3, 3)):
+        graphs += [blowup(g, 2), _relabeled(rng, blowup(g, 2))]
+    graphs.append(blowup(path_graph(1), 3))
+    for sizes in ((1, 2, 3), (2, 2, 2), (1, 1, 2, 2), (2, 3, 3), (3, 3)):
+        graphs.append(_multipartite(sizes))
+        for _ in range(3):
+            labels = tuple(rng.randrange(2) for _ in range(sum(sizes)))
+            graphs.append(_multipartite(sizes, labels))
+    for _ in range(80):
+        r, n = rng.choice((2, 3, 4)), rng.randint(3, 5)
+        g = _random_graph(rng, r, n, rng.choice((1, 2)))
+        for _ in range(rng.randint(1, 2)):
+            g = _with_twin(rng, g, rng.randrange(g.n))
         graphs.append(_relabeled(rng, g))
     to_ref: dict = {}
     from_ref: dict = {}
@@ -521,6 +558,27 @@ def test_canonical_agrees_with_pairwise_isomorphism():
     for g, h in combinations(graphs, 2):
         if (g.r, g.n, g.e) == (h.r, h.n, h.e):
             assert is_isomorphic(g, h) == (canonical(g)[0] == canonical(h)[0]), (g, h)
+
+
+def test_automorphism_counts_in_closed_form(monkeypatch):
+    # past the brute-force reach, where only twins keep the search small:
+    # a twin class of k vertices multiplies |Aut| by k!, and the search
+    # visits one leaf per coset of the group the classes generate
+    monkeypatch.setattr(graph_module, "_CANON_CACHE", {})
+    k44 = complete_bipartite(4, 4)
+    k33 = complete_bipartite(3, 3)
+    cases = [
+        (complete_graph(2, 10), math.factorial(10)),
+        (complete_bipartite(6, 6), 2 * math.factorial(6) ** 2),
+        (_disjoint_union(k44, k44), 2_654_208),
+        (complete_graph(3, 7), math.factorial(7)),
+        (blowup(cycle_graph(5), 3), 10 * math.factorial(3) ** 5),
+        (Graph(2, 6, (1, 0, 0, 0, 0, 0), k33.edges), 2 * math.factorial(3)),
+    ]
+    rng = random.Random(4242)
+    for g, aut in cases:
+        assert canonical(g)[1] == aut, g
+        assert canonical(_relabeled(rng, g)) == canonical(g), g
 
 
 def test_canonical_respects_labels():

@@ -12,11 +12,14 @@ from hypalg import (
     LinComb,
     ResourceError,
     TheoremReport,
+    box_product,
+    box_scheme,
     complete_graph,
     cycle_graph,
     eval_nind_quasirandom,
     eval_quasirandom,
     format_report,
+    is_isomorphic,
     loose_scheme,
     m5_bound,
     m5_direct,
@@ -24,6 +27,7 @@ from hypalg import (
     operator_apply,
     path_graph,
     path_scheme,
+    subdivide,
     verify_box,
     verify_forcing_pair_operator,
     verify_gensubdivision,
@@ -334,6 +338,17 @@ def test_verify_box():
     assert kinds.count("exact-identity") == 2
     with pytest.raises(InputError):
         verify_box(complete_graph(3, 3))
+
+
+def test_verify_box_on_the_square_builds_the_cube():
+    # "cubes are forcing": C4 is K2 box K2, so the box chain on C4 runs on
+    # the cube Q3, and every step of its report passes
+    c4 = cycle_graph(4)
+    report = verify_box(c4)
+    assert report.verdict and len(report.steps) == 4
+    sub = subdivide(box_scheme(), c4)
+    assert is_isomorphic(sub, box_product(c4, K2))
+    assert is_isomorphic(sub, box_product(box_product(K2, K2), K2))
 
 
 def test_verify_hypergraph_branches():
