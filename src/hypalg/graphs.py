@@ -61,7 +61,6 @@ __all__ = [
     "graph_to_text",
     "is_isomorphic",
     "path_graph",
-    "single_vertex",
 ]
 
 
@@ -258,7 +257,9 @@ def _search(h: Graph) -> tuple[Graph, int]:
     # segment against the placed vertices. Positions are placed in
     # increasing order, so each edge accumulates its bit index as its
     # vertices are placed; placing the (r-1)-th one sets the bit in the
-    # segment of the last, whose id is then the edge's `free` sum.
+    # segment of the last, whose id is then the edge's `free` sum. For
+    # r = 1 every segment stays 0: a vertex lies in its one-vertex edge when
+    # its degree is 1, which its (label, degree) cell already fixes.
     k = r - 1
     binom = [[math.comb(a, j) for j in range(r)] for a in range(n)]
     incident: list[list[int]] = [[] for _ in range(n)]  # vertex -> edge ids
@@ -266,8 +267,6 @@ def _search(h: Graph) -> tuple[Graph, int]:
     for ei, e in enumerate(h.edges):
         for v in e:
             incident[v].append(ei)
-        if k == 0:  # r = 1: the edge alone is the segment
-            seg[e[0]] = 1
     # old vertices usable at each new position: h's (label, degree) cells
     # are runs of consecutive vertices; isolated ones keep their places
     key = [(h.labels[v], len(incident[v])) for v in range(n)]
@@ -565,10 +564,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def empty_graph(r: int, n: int, labels=None) -> Graph:
     return Graph(r, n, labels, ())
-
-
-def single_vertex(r: int = 2, label: int = 0) -> Graph:
-    return Graph(r, 1, (label,), ())
 
 
 def complete_graph(r: int, n: int) -> Graph:

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .algebra import (
     LinComb,
-    _as_fraction,
     _difference,
     _probability,
     _signed_sum,
@@ -74,7 +73,6 @@ from .graphs import (
 )
 
 __all__ = [
-    "BoundPolynomial",
     "CITED_FIVE_CYCLE_POLY",
     "CheckStep",
     "TheoremReport",
@@ -108,9 +106,14 @@ class CheckStep:
 
 @dataclass
 class TheoremReport:
+    """The steps of one report. Each `verify_*` opens its report as its
+    first statement and returns `done()`, so `wall_time` is the whole call:
+    the seconds from opening the report to closing it."""
+
     identifier: str
     steps: list[CheckStep] = field(default_factory=list)
     wall_time: float = 0.0
+    opened: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     @property
     def verdict(self) -> bool:
@@ -118,6 +121,11 @@ class TheoremReport:
 
     def add(self, description: str, kind: str, passed: bool, witness: str) -> None:
         self.steps.append(CheckStep(description, kind, bool(passed), witness))
+
+    def done(self) -> TheoremReport:
+        """Close the report: set its wall time and return it."""
+        self.wall_time = time.perf_counter() - self.opened
+        return self
 
 
 def format_report(report: TheoremReport, fmt: str = "text") -> str:
@@ -220,12 +228,10 @@ def _eval_step(report, image: LinComb, sub: Graph, samples) -> None:
 def _normalize_samples(p_samples) -> tuple[Fraction, ...]:
     if p_samples is None:
         return DEFAULT_P_SAMPLES
-    return tuple(_probability(p) for p in p_samples)
-
-
-def _require_plain(g: Graph) -> None:
-    if any(g.labels):
-        raise InputError("verification instances must be unlabeled graphs")
+    samples = tuple(_probability(p) for p in p_samples)
+    if not samples:
+        raise InputError("sample points must be nonempty")
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +241,9 @@ def _require_plain(g: Graph) -> None:
 def verify_tensor_power(g: Graph, s: int, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """The parallel-copies operator turns a supergraph sum into its s-th
     product power: preimage enumeration vs repeated algebra product."""
-    _require_plain(g)
-    t0 = time.perf_counter()
     report = TheoremReport(f"tensor-power-s{s}")
     scheme = copies_scheme(s)
+    sub = subdivide(scheme, g)
     base = nind(g)
     lhs = operator_apply(scheme.transformation(), base, budget)
     rhs = unit(2)
@@ -251,7 +256,6 @@ def verify_tensor_power(g: Graph, s: int, budget: int = DEFAULT_BUDGET) -> Theor
         lhs,
         rhs,
     )
-    sub = subdivide(scheme, g)
     # both put vertex (v, i) at index v*s + i, so the graphs are equal
     report.add(
         f"subdividing with the parallel gadget yields {s} disjoint copies",
@@ -259,8 +263,7 @@ def verify_tensor_power(g: Graph, s: int, budget: int = DEFAULT_BUDGET) -> Theor
         sub == box_product(g, empty_graph(2, s)),
         f"{sub.n} vertices, {len(sub.edges)} edges",
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +287,13 @@ def verify_gensubdivision(
     u(x(sub(1), const(m)), x(sub(base_r), const(s'))) with base_r >= 2, and
     both subset functors are empty on the empty set. The lemma is cited,
     not checked: no step stands for it."""
-    _require_plain(g)
+    report = TheoremReport("generalized-subdivision")
     samples = _normalize_samples(p_samples)
     if scheme.f_v.edges and 0 in g.degrees:
         raise InputError(
             "base graph has an isolated vertex; with an edged vertex gadget "
             "the preimage identity fails there (use the labeled variant)"
         )
-    t0 = time.perf_counter()
-    report = TheoremReport("generalized-subdivision")
     sub = subdivide(scheme, g)
     tau = scheme.transformation()
     swap = (
@@ -322,8 +323,7 @@ def verify_gensubdivision(
         f"{g.n}*{len(scheme.f_v.edges)}",
     )
     _eval_step(report, image, swapped, samples)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +336,8 @@ def verify_box(g: Graph, p_samples=None, budget: int = DEFAULT_BUDGET) -> Theore
     exactly, the one-vertex class maps to a single edge, and the enumerated
     image evaluates like the subdivided graph's supergraph sum at
     quasirandom points."""
-    _require_plain(g)
-    if g.r != 2:
-        raise InputError("box chain applies to 2-uniform graphs")
-    samples = _normalize_samples(p_samples)
-    t0 = time.perf_counter()
     report = TheoremReport("box-product-chain")
+    samples = _normalize_samples(p_samples)
     scheme = box_scheme()
     sub = subdivide(scheme, g)
     # both put vertex (v, i) at index v*2 + i, so the graphs are equal
@@ -370,8 +366,7 @@ def verify_box(g: Graph, p_samples=None, budget: int = DEFAULT_BUDGET) -> Theore
         LinComb.from_graph(complete_graph(2, 2)),
     )
     _eval_step(report, image, sub, samples)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +387,9 @@ def verify_hypergraph(
     It takes no budget: its rule swaps on g only when at most 12 r-sets of
     eta([n]) lie beyond g's edges, so that swap has at most 2^12
     completions; otherwise it swaps on one edge, which has exactly one."""
-    _require_plain(g)
-    if g.r != 2:
-        raise InputError("expansion verification starts from a 2-uniform graph")
-    samples = _normalize_samples(p_samples)
-    t0 = time.perf_counter()
-    scheme = mixed_scheme(r, m)
     report = TheoremReport(f"hypergraph-expansion-r{r}-m{m}")
+    samples = _normalize_samples(p_samples)
+    scheme = mixed_scheme(r, m)
     sub = subdivide(scheme, g)
 
     name = "even" if 2 * m == r else "loose" if m == 1 else "mixed"
@@ -424,8 +415,7 @@ def verify_hypergraph(
         sub = subdivide(scheme, inst)
     image = _swap_step(report, desc, scheme.transformation(), inst, sub, DEFAULT_BUDGET)
     _eval_step(report, image, sub, samples)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +434,8 @@ def verify_goodman_lift(p_samples=None) -> TheoremReport:
     representative of the triangle bound, why the label lift needs uniform
     order, and the concentrated-host evaluations that separate the naive
     and uniform embeddings."""
-    samples = _normalize_samples(p_samples)
-    t0 = time.perf_counter()
     report = TheoremReport("positivity-label-lift")
+    samples = _normalize_samples(p_samples)
     k3 = complete_graph(2, 3)
     i3 = empty_graph(2, 3)
     p2 = Graph(2, 3, None, ((0, 1), (1, 2)))
@@ -527,8 +516,7 @@ def verify_goodman_lift(p_samples=None) -> TheoremReport:
         f"naive: {[_show(v) for v in naive_vals]}, "
         f"uniform: {[_show(v) for v in lifted_vals]}",
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +528,10 @@ def verify_forcing_pair_operator(k: int) -> TheoremReport:
     subdivision multiplies cycle lengths, triangle subdivision of an edge
     is a triangle. The analytic conclusion drawn from them is cited, not
     checked: no step stands for it."""
+    report = TheoremReport(f"forcing-pair-subdivision-k{k}")
     (k,) = _ints((k,), "path length")
     if k < 2:
         raise InputError(f"path subdivision needs k >= 2, got {k}")
-    t0 = time.perf_counter()
-    report = TheoremReport(f"forcing-pair-subdivision-k{k}")
     scheme = path_scheme(k)
     for t in (2, 3):
         base = cycle_graph(2 * t)
@@ -564,41 +551,11 @@ def verify_forcing_pair_operator(k: int) -> TheoremReport:
         is_isomorphic(tri, complete_graph(2, 3)),
         f"{tri.n} vertices, {len(tri.edges)} edges",
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
 # the five-cycle ladder bound
-
-
-@dataclass(frozen=True)
-class BoundPolynomial:
-    """A univariate polynomial in the edge-density variable with exact
-    rational coefficients, stored as (exponent, coefficient) pairs."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        norm = []
-        for e, c in self.coeffs:
-            (e,) = _ints((e,), "exponents", 0)
-            c = _as_fraction(c)
-            if e in seen:
-                raise InputError(f"repeated exponent {e}")
-            seen.add(e)
-            if c != 0:
-                norm.append((e, c))
-        norm.sort(reverse=True)
-        object.__setattr__(self, "coeffs", tuple(norm))
-
-    def __call__(self, p) -> Fraction:
-        p = _as_fraction(p, "sample points")
-        return sum((c * p**e for e, c in self.coeffs), Fraction(0))
-
-    def to_text(self) -> str:
-        return _signed_sum((c, f"*p^{e}" if e else "") for e, c in self.coeffs)
 
 
 def m5_direct() -> Graph:
@@ -614,14 +571,14 @@ def m5_direct() -> Graph:
 
 
 # The cited starting point: a lower bound for the five-cycle supergraph sum
-# as a polynomial in the edge class. Taken as input, not re-derived.
-CITED_FIVE_CYCLE_POLY = BoundPolynomial(
-    ((4, Fraction(4)), (3, Fraction(-6)), (2, Fraction(4)), (1, Fraction(-1)))
-)
+# as a polynomial in the edge class, as (exponent, coefficient) pairs,
+# highest exponent first. Taken as input, not re-derived.
+CITED_FIVE_CYCLE_POLY = ((4, Fraction(4)), (3, Fraction(-6)), (2, Fraction(4)), (1, Fraction(-1)))
 
 
-def m5_bound() -> tuple[BoundPolynomial, Fraction]:
-    """Derive the ladder bound polynomial and its crossover point.
+def m5_bound() -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
+    """Derive the ladder bound polynomial, as (exponent, coefficient) pairs
+    in the cited bound's order, and its crossover point.
 
     Each power j of the edge class in the cited five-cycle bound, raised to
     uniform order 10 by vertex padding, maps through the subdivision chain
@@ -630,12 +587,10 @@ def m5_bound() -> tuple[BoundPolynomial, Fraction]:
     of the derived bound minus the plain 17th power, found by bisection to
     1e-6 with exact sign evaluation.
     """
-    derived = BoundPolynomial(
-        tuple((2 * j + 5, c) for j, c in CITED_FIVE_CYCLE_POLY.coeffs)
-    )
+    derived = tuple((2 * j + 5, c) for j, c in CITED_FIVE_CYCLE_POLY)
 
     def h(p: Fraction) -> Fraction:
-        return derived(p) - p**17
+        return sum(c * p**e for e, c in derived) - p**17
 
     lo, hi = Fraction(74, 100), Fraction(75, 100)
     while hi - lo > Fraction(1, 10**6):
@@ -652,7 +607,6 @@ def verify_m5() -> TheoremReport:
     is the ladder, the derived bound polynomial has the expected support,
     and its crossover with the plain power sits where it should. The
     conclusion is conditional on the cited five-cycle input bound."""
-    t0 = time.perf_counter()
     report = TheoremReport("five-cycle-ladder-bound")
     ladder = subdivide(crossing_scheme(), cycle_graph(5))
     report.add(
@@ -670,8 +624,8 @@ def verify_m5() -> TheoremReport:
         "derived bound polynomial has coefficients (4, -6, 4, -1) on "
         "exponents (13, 11, 9, 7) — conditional on the cited input bound",
         EXACT,
-        derived.coeffs == expected,
-        derived.to_text(),
+        derived == expected,
+        _signed_sum((c, f"*p^{e}") for e, c in derived),
     )
 
     report.add(
@@ -681,5 +635,4 @@ def verify_m5() -> TheoremReport:
         abs(root - Fraction(74142, 100000)) < Fraction(1, 10**4),
         f"root = {float(root):.6f}",
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return report.done()

@@ -227,7 +227,7 @@ def test_08_ladder_pipeline():
         and H.is_isomorphic(ladder, H.m5_direct())
     )
     derived, root = H.m5_bound()
-    coeff_ok = derived.coeffs == (
+    coeff_ok = derived == (
         (13, Fraction(4)),
         (11, Fraction(-6)),
         (9, Fraction(4)),

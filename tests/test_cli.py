@@ -133,6 +133,12 @@ def test_exit_code_two_on_input_errors(capsys):
         ["verify", "box", "--p", "1/4,alpha"],
         ["verify", "box", "--p", ""],
         ["verify", "hyper", "--r", "3", "--m", "2"],
+        # a labelled and a 3-uniform base, refused by the report's subdivide
+        *(
+            ["verify", target, "--graph", graph]
+            for target in ("tensor", "gensub", "box", "hyper")
+            for graph in ("graph{r=2;n=2;l=0,1;e=(0 1)}", "graph{r=3;n=3;l=;e=(0 1 2)}")
+        ),
         [
             "density",
             "limit",

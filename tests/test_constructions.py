@@ -34,7 +34,6 @@ from hypalg import (
     path_scheme,
     scheme_from_text,
     scheme_to_text,
-    single_vertex,
     subdivide,
     triangle_scheme,
 )
@@ -363,7 +362,7 @@ _CATALOG = {
 }
 
 
-_BASES = {"point": single_vertex(2), "K2": K2, "P2": path_graph(2)}
+_BASES = {"point": Graph(2, 1), "K2": K2, "P2": path_graph(2)}
 
 
 def _swap_sides(scheme, labeled, g):
@@ -406,7 +405,7 @@ def test_lift_labels_frozen():
 
 
 def test_lift_labels_rejects():
-    mixed = LinComb.from_graph(K2) + LinComb.from_graph(single_vertex(2))
+    mixed = LinComb.from_graph(K2) + LinComb.from_graph(Graph(2, 1))
     with pytest.raises(InputError):
         lift_labels(mixed, 1)  # mixed orders
     with pytest.raises(InputError):

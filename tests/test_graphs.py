@@ -34,7 +34,6 @@ from hypalg import (
     lincomb_from_text,
     nind,
     path_graph,
-    single_vertex,
     unit,
 )
 from hypalg import (
@@ -362,7 +361,7 @@ def test_entry_points_accept_bools_as_ints():
 
 def test_catalog_shapes():
     assert cycle_graph(3) == complete_graph(2, 3)
-    assert path_graph(0) == single_vertex()
+    assert path_graph(0) == Graph(2, 1)
     assert complete_bipartite(2, 2).e == 4
     assert is_isomorphic(complete_bipartite(2, 2), cycle_graph(4))
     assert empty_graph(3, 5).edges == ()

@@ -1,12 +1,12 @@
 """Verification reports: plumbing, evaluation helpers, and each checker."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from hypalg import (
     CITED_FIVE_CYCLE_POLY,
-    BoundPolynomial,
     Graph,
     InputError,
     LinComb,
@@ -122,10 +122,9 @@ def test_eval_nind_quasirandom_rejects_inexact_p(p, u, message):
     "evaluate",
     [
         lambda p: verify_goodman_lift(p_samples=(Fraction(1, 2), p)),
-        CITED_FIVE_CYCLE_POLY,
         lambda p: eval_quasirandom(_on_label(LinComb.from_graph(K2), 0), p),
     ],
-    ids=["sample-list", "bound-polynomial", "all-label-mass"],
+    ids=["sample-list", "all-label-mass"],
 )
 def test_sample_points_must_be_exact(evaluate):
     with pytest.raises(InputError, match="exact rationals"):
@@ -135,39 +134,24 @@ def test_sample_points_must_be_exact(evaluate):
 
 
 # ---------------------------------------------------------------------------
-# bound polynomials and the ladder pipeline
+# the ladder bound and its pipeline
 
 
-def test_bound_polynomial_basics():
-    poly = BoundPolynomial(((0, Fraction(2)), (1, Fraction(-1)), (5, Fraction(0))))
-    assert poly.coeffs == ((1, Fraction(-1)), (0, Fraction(2)))
-    assert poly.to_text() == "-1*p^1 + 2"
-    assert poly(Fraction(1, 2)) == Fraction(3, 2)
-    assert BoundPolynomial(()).to_text() == "0"
-    assert BoundPolynomial(((2, Fraction(1, 3)),))(3) == 3
-    with pytest.raises(InputError):
-        BoundPolynomial(((-1, Fraction(1)),))
-    with pytest.raises(InputError):
-        BoundPolynomial(((2, Fraction(1)), (2, Fraction(1))))
-    with pytest.raises(InputError, match="exact rationals"):
-        BoundPolynomial(((2, 0.5),))
-    with pytest.raises(InputError, match=r"^exponents must be ints, got \(2\.7,\)$"):
-        BoundPolynomial(((2.7, 1),))
-    with pytest.raises(InputError, match=r"^exponents must be ints, got \('3',\)$"):
-        BoundPolynomial((("3", 1),))
-    assert BoundPolynomial(((True, 1),)).coeffs == ((1, Fraction(1)),)
+def _value(pairs, p):
+    """The polynomial given by (exponent, coefficient) pairs, at p."""
+    return sum(c * p**e for e, c in pairs)
 
 
 def test_cited_polynomial_is_frozen():
-    assert CITED_FIVE_CYCLE_POLY.coeffs == (
+    assert CITED_FIVE_CYCLE_POLY == (
         (4, Fraction(4)),
         (3, Fraction(-6)),
         (2, Fraction(4)),
         (1, Fraction(-1)),
     )
-    assert CITED_FIVE_CYCLE_POLY(1) == 1
+    assert _value(CITED_FIVE_CYCLE_POLY, Fraction(1)) == 1
     # the cited bound factors as p*(2p-1)*(2p^2-2p+1): zero at one half
-    assert CITED_FIVE_CYCLE_POLY(Fraction(1, 2)) == 0
+    assert _value(CITED_FIVE_CYCLE_POLY, Fraction(1, 2)) == 0
 
 
 def test_ladder_host_direct():
@@ -180,19 +164,19 @@ def test_ladder_host_direct():
 
 def test_derived_bound_and_root():
     derived, root = m5_bound()
-    assert derived.coeffs == (
+    assert derived == (
         (13, Fraction(4)),
         (11, Fraction(-6)),
         (9, Fraction(4)),
         (7, Fraction(-1)),
     )
-    assert derived.to_text() == "4*p^13 - 6*p^11 + 4*p^9 - 1*p^7"
-    assert derived(1) == 1
-    assert derived(Fraction(1, 2)) == Fraction(-5, 2048)
+    assert verify_m5().steps[1].witness == "4*p^13 - 6*p^11 + 4*p^9 - 1*p^7"
+    assert _value(derived, Fraction(1)) == 1
+    assert _value(derived, Fraction(1, 2)) == Fraction(-5, 2048)
     assert Fraction(74, 100) < root < Fraction(75, 100)
     assert abs(root - Fraction(74142, 100000)) < Fraction(1, 10**4)
-    assert derived(Fraction(74, 100)) < Fraction(74, 100) ** 17
-    assert derived(Fraction(75, 100)) > Fraction(75, 100) ** 17
+    assert _value(derived, Fraction(74, 100)) < Fraction(74, 100) ** 17
+    assert _value(derived, Fraction(75, 100)) > Fraction(75, 100) ** 17
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +312,80 @@ def test_verify_gensubdivision_preconditions():
         verify_gensubdivision(path_scheme(2), K2, p_samples=(Fraction(3, 2),))
     with pytest.raises(InputError):
         verify_gensubdivision(path_scheme(2), Graph(2, 2, (0, 1), ((0, 1),)))
+
+
+# each report that subdivides a base graph, as a function of that base
+_SUBDIVIDING = {
+    "tensor": lambda g: verify_tensor_power(g, 2),
+    "gensub": lambda g: verify_gensubdivision(path_scheme(2), g),
+    "box": verify_box,
+    "hyper": lambda g: verify_hypergraph(g, 3, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        (Graph(2, 2, (0, 1), ((0, 1),)), "subdivide expects an unlabeled base graph"),
+        (complete_graph(3, 3), "scheme subdivides 2-uniform graphs, got 3"),
+    ],
+    ids=["labelled", "3-uniform"],
+)
+@pytest.mark.parametrize("target", sorted(_SUBDIVIDING))
+def test_subdividing_reports_refuse_a_base_before_any_enumeration(
+    monkeypatch, target, base, message
+):
+    # subdivide is the one check of a base graph, and each report calls it
+    # before it builds a supergraph sum or a preimage sum
+    from hypalg import algebra, functors, harness
+
+    def enumeration(*args, **kwargs):
+        raise AssertionError("an enumeration ran before the refusal")
+
+    for module in (algebra, harness):
+        monkeypatch.setattr(module, "nind", enumeration)
+    for module in (functors, harness):
+        monkeypatch.setattr(module, "operator_apply", enumeration)
+    with pytest.raises(InputError) as info:
+        _SUBDIVIDING[target](base)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_gensubdivision(path_scheme(2), K2, ()),
+        lambda: verify_box(K2, p_samples=()),
+        lambda: verify_hypergraph(K2, 3, 1, []),
+        lambda: verify_goodman_lift(p_samples=()),
+    ],
+    ids=["gensub", "box", "hyper", "goodman"],
+)
+def test_an_empty_sample_list_is_refused(verify):
+    # no sample point would leave the evaluation steps nothing to check
+    with pytest.raises(InputError) as info:
+        verify()
+    assert str(info.value) == "sample points must be nonempty"
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_tensor_power(K2, 2),
+        lambda: verify_gensubdivision(path_scheme(2), K2),
+        lambda: verify_box(K2),
+        lambda: verify_hypergraph(K2, 3, 1),
+        verify_goodman_lift,
+        lambda: verify_forcing_pair_operator(2),
+        verify_m5,
+    ],
+    ids=["tensor", "gensub", "box", "hyper", "goodman", "forcingpair", "m5"],
+)
+def test_wall_time_is_the_whole_call(verify):
+    t0 = time.perf_counter()
+    report = verify()
+    outside = time.perf_counter() - t0
+    assert 0 < report.wall_time <= outside
 
 
 def test_verify_box():
