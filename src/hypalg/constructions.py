@@ -10,7 +10,9 @@ replaces each vertex of a base graph by an F_v copy and each edge by an F_e
 copy across its blocks with fresh private vertices.
 
 Every scheme also knows its upward transformation (the template rule whose
-operator sums tau-preimages). On the supergraph sum of a base graph g that
+operator sums tau-preimages), read off its gadgets: the unlabelled edge
+template is the subdivision of one edge, the labelled one F_e, and the
+vertex template F_v. On the supergraph sum of a base graph g that
 operator gives `nind(subdivide(scheme, g))`, which the harness checks. The
 two are algebra-equal elements, not necessarily the identical formal sum
 (preimage sums carry extra isolated private vertices for non-edges of the
@@ -35,6 +37,7 @@ from .graphs import (
     Graph,
     _groups,
     _ints,
+    complete_graph,
     graph_from_text,
     graph_to_text,
     is_isomorphic,
@@ -180,38 +183,24 @@ class SubdivisionScheme:
         """Vertex functor of the subdivided graph: one m-block per vertex,
         s' privates per base_r-subset."""
         return UnionF(
-            ProductF(SubsetsF(1), ConstF(tuple(range(self.m)))),
-            ProductF(SubsetsF(self.base_r), ConstF(tuple(range(self.s_prime)))),
+            ProductF(SubsetsF(1), ConstF(self.m)),
+            ProductF(SubsetsF(self.base_r), ConstF(self.s_prime)),
         )
 
     def transformation(self, labeled: bool = False):
         """The template transformation whose operator inverts subdivision.
 
-        Unlabeled: an output edge requires the full gadget (F_e plus the F_v
-        copies in each block). Labeled: the edge rule requires F_e only, and
-        a vertex keeps label 0 exactly when its block carries the F_v copy,
-        falling back to the dump label 1.
+        Unlabeled: an output edge requires the full gadget, the subdivision
+        of one edge (F_e plus the F_v copy in each block). Labeled: the edge
+        rule requires F_e only, and a vertex keeps label 0 exactly when its
+        block carries the F_v copy, falling back to the dump label 1.
         """
-        m, r = self.m, self.f_v.r
-        edges = list(self.f_e.edges)
+        eta, r, k = self.eta(), self.f_v.r, self.base_r
         if not labeled:
-            for j in range(self.base_r):
-                for e in self.f_v.edges:
-                    edges.append(tuple(sorted(j * m + v for v in e)))
-        eta = self.eta()
-        n_rule = self.base_r * m + self.s_prime
-        template = Graph(r, n_rule, None, tuple(edges))
-        if not labeled:
-            return UpwardTransformation(eta, r, self.base_r, template)
-        vertex_template = Graph(r, m, None, self.f_v.edges)
+            return UpwardTransformation(eta, r, k, subdivide(self, complete_graph(k, k)))
         return UpwardTransformation(
-            eta,
-            r,
-            self.base_r,
-            template,
-            base_labels=frozenset({0, 1}),
-            vertex_rules=((0, vertex_template),),
-            default_label=1,
+            eta, r, k, self.f_e, base_labels=frozenset({0, 1}),
+            vertex_rules=((0, self.f_v),), default_label=1,
         )
 
 
@@ -274,13 +263,10 @@ def path_scheme(k: int) -> SubdivisionScheme:
     """Each edge becomes a path with k edges (k-1 private vertices)."""
     (k,) = _ints((k,), "path length", 1)
     f_v = Graph(2, 1)
-    if k == 1:
-        f_e = Graph(2, 2, None, ((0, 1),))
-    else:
-        chain = [0] + list(range(2, k + 1)) + [1]
-        f_e = Graph(
-            2, k + 1, None, tuple((chain[i], chain[i + 1]) for i in range(k))
-        )
+    chain = [0] + list(range(2, k + 1)) + [1]
+    f_e = Graph(
+        2, k + 1, None, tuple((chain[i], chain[i + 1]) for i in range(k))
+    )
     return SubdivisionScheme(f_v, f_e, 2)
 
 

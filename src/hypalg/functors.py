@@ -76,15 +76,14 @@ class SubsetsF:
 
 @dataclass(frozen=True)
 class ConstF:
-    """The constant functor: every set maps to the same fixed set."""
+    """The constant functor: every set maps to the fixed set {0..k-1}. Only
+    its size reaches a graph on eta([n]), whose vertices are positions."""
 
-    elems: tuple
+    k: int
 
     def __post_init__(self) -> None:
-        elems = tuple(self.elems)
-        if len(set(elems)) != len(elems):
-            raise InputError("constant set has repeated elements")
-        object.__setattr__(self, "elems", elems)
+        (k,) = _ints((self.k,), "constant set size", 0)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def apply_functor_set(eta, n: int) -> tuple:
     if isinstance(eta, SubsetsF):
         return tuple(combinations(range(n), eta.k))
     if isinstance(eta, ConstF):
-        return eta.elems
+        return tuple(range(eta.k))
     if isinstance(eta, UnionF):
         return tuple((0, x) for x in apply_functor_set(eta.left, n)) + tuple(
             (1, y) for y in apply_functor_set(eta.right, n)
@@ -192,29 +191,21 @@ class UpwardTransformation:
         object.__setattr__(self, "vertex_rules", tuple(self.vertex_rules))
         _ints(tuple(lab for lab, _ in self.vertex_rules), "vertex rule labels")
         _ints((self.default_label,), "default label")
-        n_rule = functor_size(self.eta, self.base_r)
-        if self.edge_template.r != self.r or self.edge_template.n != n_rule:
-            raise InputError(
-                f"edge template must be an {self.r}-uniform graph on "
-                f"{n_rule} vertices (the size of eta([{self.base_r}]))"
-            )
-        if any(lab != 0 for lab in self.edge_template.labels):
-            raise InputError("templates carry no labels; use all-zero labels")
-        n_vert = functor_size(self.eta, 1)
-        for lab, tmpl in self.vertex_rules:
-            if lab not in self.base_labels:
-                raise InputError(f"vertex rule label {lab} not in output label set")
-            if tmpl.r != self.r or tmpl.n != n_vert:
+        rules = [("edge", self.base_r, self.edge_template)]
+        rules += [("vertex", 1, tmpl) for _, tmpl in self.vertex_rules]
+        for kind, k, tmpl in rules:
+            size = functor_size(self.eta, k)
+            if tmpl.r != self.r or tmpl.n != size:
                 raise InputError(
-                    f"vertex template must be {self.r}-uniform on {n_vert} "
-                    f"vertices (the size of eta([1]))"
+                    f"{kind} template must be {self.r}-uniform on {size} "
+                    f"vertices (the size of eta([{k}]))"
                 )
-            if any(x != 0 for x in tmpl.labels):
+            if any(tmpl.labels):
                 raise InputError("templates carry no labels; use all-zero labels")
-        if self.default_label not in self.base_labels:
-            raise InputError(
-                f"default label {self.default_label} not in output label set"
-            )
+        labels = [("vertex rule label", lab) for lab, _ in self.vertex_rules]
+        for what, lab in labels + [("default label", self.default_label)]:
+            if lab not in self.base_labels:
+                raise InputError(f"{what} {lab} not in output label set")
         self._check_well_defined()
 
     def _check_well_defined(self) -> None:
@@ -431,7 +422,7 @@ def functor_to_text(eta) -> str:
     if isinstance(eta, SubsetsF):
         return f"sub({eta.k})"
     if isinstance(eta, ConstF):
-        return f"const({len(eta.elems)})"
+        return f"const({eta.k})"
     if isinstance(eta, UnionF):
         return f"u({functor_to_text(eta.left)},{functor_to_text(eta.right)})"
     if isinstance(eta, ProductF):
@@ -442,11 +433,11 @@ def functor_to_text(eta) -> str:
 def functor_from_text(text: str):
     """The functor of a `sub(k)`, `const(s)`, `u(A,B)` or `x(A,B)`
     expression, where k and s are ASCII integers without leading zeros and
-    `const(s)` is the constant set {0..s-1}. The text is accepted exactly
-    when `functor_to_text` prints back its tokens, so ASCII whitespace may
-    surround any token and nothing else varies; `u` and `x` nest at most 100
-    deep, as the printer and dataclass equality recurse. Anything else
-    raises `InputError`.
+    `const(s)` is `ConstF(s)`, the constant set {0..s-1}. The text is
+    accepted exactly when `functor_to_text` prints back its tokens, so ASCII
+    whitespace may surround any token and nothing else varies; `u` and `x`
+    nest at most 100 deep, as the printer and dataclass equality recurse.
+    Anything else raises `InputError`.
     """
     tokens = _TOKEN_RE.findall(text) if _TOKENS_RE.fullmatch(text) else []
     # a prefix expression, parentheses and commas skipped, read right to left
@@ -457,7 +448,7 @@ def functor_from_text(text: str):
             stack.append(int(t))
         elif t in ("sub", "const") and stack and isinstance(stack[-1], int):
             k = stack.pop()
-            stack.append((SubsetsF(k) if t == "sub" else ConstF(tuple(range(k))), 0))
+            stack.append(((SubsetsF if t == "sub" else ConstF)(k), 0))
         elif t in ("u", "x") and len(stack) > 1 and all(
             isinstance(a, tuple) and a[1] < 100 for a in stack[-2:]
         ):

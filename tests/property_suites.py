@@ -66,12 +66,12 @@ def run_canonical_invariance(count=500, seed=90101):
 _FUNCTOR_SHAPES = {
     "subsets": H.SubsetsF(2),
     "singletons": H.SubsetsF(1),
-    "const": H.ConstF((0, 1)),
-    "union": H.UnionF(H.SubsetsF(1), H.ConstF((0,))),
-    "product": H.ProductF(H.SubsetsF(1), H.ConstF((0, 1))),
+    "const": H.ConstF(2),
+    "union": H.UnionF(H.SubsetsF(1), H.ConstF(1)),
+    "product": H.ProductF(H.SubsetsF(1), H.ConstF(2)),
     "nested": H.UnionF(
-        H.ProductF(H.SubsetsF(1), H.ConstF((0, 1))),
-        H.ProductF(H.SubsetsF(2), H.ConstF((0,))),
+        H.ProductF(H.SubsetsF(1), H.ConstF(2)),
+        H.ProductF(H.SubsetsF(2), H.ConstF(1)),
     ),
 }
 

@@ -81,6 +81,9 @@ def test_scalar_and_vector_ops():
     assert f.coefficient(empty_graph(2, 0)) == Fraction(1, 3)
     assert (-f).coefficient(K2) == -2
     assert (f - f) == LinComb.zero(2)
+    # a zero scalar leaves no terms, an int or a Fraction alike
+    assert 0 * f == Fraction(0) * f == LinComb.zero(2)
+    assert not (0 * f).coeffs
     assert f * 3 == 3 * f
     assert f * unit(2) == product(f, unit(2)) == f
 

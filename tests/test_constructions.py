@@ -383,6 +383,49 @@ def test_swap_matches_nind_of_the_subdivided_graph(name, labeled, base):
     assert alg_equal(*_swap_sides(_CATALOG[name], labeled, _BASES[base]))
 
 
+def _g(r, n, *edges):
+    return Graph(r, n, None, edges)
+
+
+@pytest.mark.parametrize(
+    "scheme, unlabeled, labeled, vertex",
+    [
+        (
+            box_scheme(),
+            _g(2, 4, (0, 1), (0, 2), (1, 3), (2, 3)),
+            _g(2, 4, (0, 2), (1, 3)),
+            K2,
+        ),
+        (
+            crossing_scheme(),
+            _g(2, 4, (0, 1), (0, 3), (1, 2), (2, 3)),
+            _g(2, 4, (0, 3), (1, 2)),
+            K2,
+        ),
+        (path_scheme(1), K2, K2, _g(2, 1)),
+        (path_scheme(2), _g(2, 3, (0, 2), (1, 2)), _g(2, 3, (0, 2), (1, 2)), _g(2, 1)),
+        (
+            blowup_scheme(2),
+            _g(2, 4, (0, 2), (0, 3), (1, 2), (1, 3)),
+            _g(2, 4, (0, 2), (0, 3), (1, 2), (1, 3)),
+            _g(2, 2),
+        ),
+        (copies_scheme(2), _g(2, 4, (0, 2), (1, 3)), _g(2, 4, (0, 2), (1, 3)), _g(2, 2)),
+        (mixed_scheme(5, 2), _g(5, 5, range(5)), _g(5, 5, range(5)), _g(5, 2)),
+    ],
+    ids=["box", "crossing", "path:1", "path:2", "blowup:2", "copies:2", "mixed:5,2"],
+)
+def test_transformation_rules_are_the_pinned_templates(scheme, unlabeled, labeled, vertex):
+    # literals, not `subdivide`: a change to its layout must not carry the
+    # unlabelled edge rule along unnoticed
+    tau = scheme.transformation()
+    assert (tau.edge_template, tau.vertex_rules) == (unlabeled, ())
+    assert (tau.base_labels, tau.default_label) == ({0}, 0)
+    tau = scheme.transformation(labeled=True)
+    assert (tau.edge_template, tau.vertex_rules) == (labeled, ((0, vertex),))
+    assert (tau.base_labels, tau.default_label) == ({0, 1}, 1)
+
+
 def test_unlabeled_swap_fails_on_an_isolated_vertex_only_with_an_edged_vertex_gadget():
     # no unlabeled rule reads an isolated vertex's block, so box's preimage
     # sum holds that block with and without its vertex gadget's edge, while

@@ -257,6 +257,7 @@ def test_entry_points_reject_non_int_labels_and_vertices(call, message):
         (lambda: UniformRep(LinComb.zero(2), -1), "order must be >= 0, got -1"),
         (lambda: path_graph(-1), "edge count must be >= 0, got -1"),
         (lambda: SubsetsF(-1), "subset size must be >= 0, got -1"),
+        (lambda: ConstF(-1), "constant set size must be >= 0, got -1"),
         (lambda: apply_functor_set(SubsetsF(1), -1), "set size must be >= 0, got -1"),
         (
             lambda: operator_apply(_edge_rule(), K2, budget=0),
@@ -281,6 +282,7 @@ def test_entry_points_reject_non_int_labels_and_vertices(call, message):
         "uniform-rep",
         "path-graph",
         "subsets",
+        "const-size",
         "functor-set",
         "operator-budget",
         "scheme-base-uniformity",
@@ -308,7 +310,6 @@ def test_entry_points_enforce_their_lower_bounds(call, message):
             lambda: UniformRep(LinComb.from_graph(K2), 3),
             f"term {K2!r} has order 2, expected uniform order 3",
         ),
-        (lambda: ConstF((0, 0)), "constant set has repeated elements"),
         (lambda: apply_functor_set("sub(1)", 2), "not a downward functor: 'sub(1)'"),
         (lambda: functor_to_text("sub(1)"), "not a downward functor: 'sub(1)'"),
         (
@@ -319,7 +320,6 @@ def test_entry_points_enforce_their_lower_bounds(call, message):
     ids=[
         "coerce-int",
         "uniform-rep-order",
-        "const-repeats",
         "functor-set",
         "functor-text",
         "operator-input",

@@ -278,17 +278,18 @@ def test_swap_step_fails_on_a_wrong_image(monkeypatch, verify):
 @pytest.mark.parametrize(
     "verify, calls",
     [
-        (lambda: verify_gensubdivision(path_scheme(2), K2), 1),
-        (lambda: verify_gensubdivision(path_scheme(2), cycle_graph(4), budget=1 << 10), 2),
+        (lambda: verify_gensubdivision(path_scheme(2), K2), 2),
+        (lambda: verify_gensubdivision(path_scheme(2), cycle_graph(4), budget=1 << 10), 3),
         (lambda: verify_box(K2), 1),
-        (lambda: verify_hypergraph(K2, 3, 1), 1),
-        (lambda: verify_hypergraph(path_graph(2), 3, 1), 2),
+        (lambda: verify_hypergraph(K2, 3, 1), 2),
+        (lambda: verify_hypergraph(path_graph(2), 3, 1), 3),
     ],
     ids=["gensub", "gensub-single-edge", "box", "hyper", "hyper-single-edge"],
 )
 def test_swap_step_reads_the_reports_own_subdivision(monkeypatch, verify, calls):
     # one subdivision per swapped instance: the base graph, plus the single
-    # edge when the report falls back to it
+    # edge when the report falls back to it; and one more for the edge
+    # template of each unlabelled transformation, the subdivision of one edge
     from hypalg import constructions, harness
 
     real, seen = constructions.subdivide, []

@@ -112,7 +112,7 @@ def _random_lincomb(rng):
 def _random_functor(rng, depth=3):
     if depth == 0 or rng.random() < 0.4:
         k = rng.randint(0, 3)
-        return SubsetsF(k) if rng.random() < 0.5 else ConstF(tuple(range(k)))
+        return SubsetsF(k) if rng.random() < 0.5 else ConstF(k)
     node = UnionF if rng.random() < 0.5 else ProductF
     return node(_random_functor(rng, depth - 1), _random_functor(rng, depth - 1))
 
