@@ -27,13 +27,14 @@ completions of G (edge sets and labellings of eta(V_G)) but canonicalises
 only those of one edge set per orbit of Aut(G), weighted by the orbit size,
 through the subset search and the automorphism list that products and
 `nind` share (`algebra._orbit_subsets`, `algebra._aut`). Its budget bounds
-the completions enumerated, not those canonicalised. On nind(g) a
-subdivision scheme's transformation gives `nind(subdivide(scheme, g))`,
-which the harness checks against this enumeration.
+the completions enumerated, not those canonicalised. On nind(g) a scheme's
+transformation gives nind of the forced graph (`_forced_slots`), which
+equals `nind(subdivide(scheme, g))` in the quotient.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,7 +126,14 @@ def apply_functor_set(eta, n: int) -> tuple:
 
 
 def functor_size(eta, n: int) -> int:
-    return len(apply_functor_set(eta, n))
+    """|eta([n])| in closed form, no set built: C(n, k), k, a + b, a * b."""
+    (n,) = _ints((n,), "set size", 0)
+    if isinstance(eta, (SubsetsF, ConstF)):
+        return math.comb(n, eta.k) if isinstance(eta, SubsetsF) else eta.k
+    if not isinstance(eta, (UnionF, ProductF)):
+        raise InputError(f"not a downward functor: {eta!r}")
+    a, b = functor_size(eta.left, n), functor_size(eta.right, n)
+    return a + b if isinstance(eta, UnionF) else a * b
 
 
 def _map_element(eta, image: tuple, x):
@@ -288,6 +296,24 @@ def _vertex_label(tau: UpwardTransformation, n: int, edge_set, v: int) -> int:
 DEFAULT_BUDGET = 1 << 20
 
 
+def _forced_slots(tau: UpwardTransformation, g: Graph) -> set:
+    """The slots of eta([n]), n = v(g), on in every H with tau(H) = g: each
+    edge's template copy, and the template of each vertex carrying the label
+    of tau's single vertex rule, if not the default. They form F(g).
+
+    Lemma: if tau reads one input label and g's vertices all carry that
+    rule's label, or all the default one with no rule giving another, then
+    operator_apply(tau, nind(g)) = nind(F(g)) as coefficient dicts. Proof:
+    nind(g) sums the supergraphs G' of g on V(g), labelled as g, and the
+    operator the H on eta(V(g)) with tau(H) = G'. So it sums once each H
+    with tau(H) ⊇ g labelled as g, which by the hypothesis are the H ⊇ F(g).
+    """
+    rules, copies = tau.vertex_rules, [(e, tau.edge_template) for e in g.edges]
+    if len(rules) == 1 and rules[0][0] != tau.default_label:
+        copies += [((v,), rules[0][1]) for v in range(g.n) if g.labels[v] == rules[0][0]]
+    return {s for sub, t in copies for s in _moved(_eta_image(tau.eta, g.n, sub), t.edges)}
+
+
 def _term_preimages(
     tau: UpwardTransformation, g: Graph, coeff: Fraction, out: dict, budget: int
 ) -> None:
@@ -322,29 +348,23 @@ def _term_preimages(
     def template_slots(sub: tuple, template: Graph) -> frozenset:
         return frozenset(_moved(_eta_image(tau.eta, n, sub), template.edges))
 
-    forced = set()
-    groups = []  # each: at least one slot must stay off
+    forced = _forced_slots(tau, g)
+    # each group: at least one slot must stay off
+    groups = [
+        template_slots(e, tau.edge_template)
+        for e in combinations(range(n), tau.base_r)
+        if e not in g.edge_set
+    ]
     postcheck = []  # vertices needing a label check per edge set
-    for e in combinations(range(n), tau.base_r):
-        slots = template_slots(e, tau.edge_template)
-        if e in g.edge_set:
-            forced |= slots
-        else:
-            groups.append(slots)
-
     default_only = all(lab == tau.default_label for lab, _ in tau.vertex_rules)
     for v in range(n):
         if default_only:
             if g.labels[v] != tau.default_label:
                 return
         elif len(tau.vertex_rules) == 1:
-            lab0, tmpl = tau.vertex_rules[0]
-            slots = template_slots((v,), tmpl)
-            if g.labels[v] == lab0:
-                forced |= slots
-            elif g.labels[v] == tau.default_label:
-                groups.append(slots)
-            else:
+            if g.labels[v] == tau.default_label:
+                groups.append(template_slots((v,), tau.vertex_rules[0][1]))
+            elif g.labels[v] != tau.vertex_rules[0][0]:
                 return
         else:
             postcheck.append(v)

@@ -12,12 +12,14 @@ subdivision with a graph built another way, not with a count its own
 construction fixes, and a step that the report's other steps imply is left
 out.
 
-The subdivision reports share one swap step: the scheme operator, whose
-preimage sum is always enumerated, applied to the supergraph sum of a base
-graph must equal the supergraph sum of the graph the report subdivided.
-Their evaluation step reads the same enumerated image: at each sample point
-its quasirandom value must equal the subdivided graph's p^e |U|^-n, since
-the inequality chains through the swap are tight at quasirandom points.
+The gensub, box and hyper reports share one swap step: the scheme
+operator, whose preimage sum is always enumerated, applied to the
+supergraph sum of a base graph must equal the supergraph sum of the graph
+the report subdivided. Their evaluation step reads the same enumerated
+image: at each sample point its quasirandom value must equal the subdivided
+graph's p^e |U|^-n, since the inequality chains through the swap are tight
+at quasirandom points. The tensor report checks, by the lemma at
+`functors._forced_slots`, the graph its operator forces instead.
 
 A cited result has no step and is not re-derived: the multiplicativity of
 a scheme operator (the paper's lemma for vertex functors without a constant
@@ -27,6 +29,7 @@ analytic forcing-pair conclusion are named in their reports' docstrings.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -61,7 +64,7 @@ from .constructions import (
     triangle_scheme,
 )
 from .errors import InputError, ResourceError
-from .functors import DEFAULT_BUDGET, functor_size, operator_apply
+from .functors import DEFAULT_BUDGET, _forced_slots, functor_size, operator_apply
 from .graphs import (
     Graph,
     _digits,
@@ -239,29 +242,37 @@ def _normalize_samples(p_samples) -> tuple[Fraction, ...]:
 
 
 def verify_tensor_power(g: Graph, s: int, budget: int = DEFAULT_BUDGET) -> TheoremReport:
-    """The parallel-copies operator turns a supergraph sum into its s-th
-    product power: preimage enumeration vs repeated algebra product."""
+    """The parallel-copies operator sends nind(g) to nind(g)^s. By the lemma
+    at `functors._forced_slots` it gives nind(F(g)), so no preimage is
+    enumerated: F(g) must be sub, the s disjoint copies of g, and nind(sub)
+    must be nind(g)^s. `budget` bounds the 2^k supergraphs of nind(sub), k
+    its absent pairs: for s >= 2 the operator's own completion count, for
+    s = 1 the non-edges of g, which the operator decided off."""
     report = TheoremReport(f"tensor-power-s{s}")
     scheme = copies_scheme(s)
     sub = subdivide(scheme, g)
-    base = nind(g)
-    lhs = operator_apply(scheme.transformation(), base, budget)
-    rhs = unit(2)
-    for _ in range(s):
-        rhs = product(rhs, base)
+    _ints((budget,), "budget", 1)
+    k = math.comb(sub.n, 2) - len(sub.edges)
+    if 1 << k > budget:
+        raise ResourceError(
+            f"the {s}-copy subdivision of order {sub.n} leaves {k} absent edge "
+            f"slots (2^{k} supergraphs; budget {budget})"
+        )
+    tau = scheme.transformation()
+    forced = Graph(tau.r, functor_size(tau.eta, g.n), None, tuple(_forced_slots(tau, g)))
+    # all three put vertex (v, i) at index v*s + i, and copies have no privates
+    report.add(
+        f"the parallel-copies rule forces on {g!r} its subdivision, {s} disjoint copies",
+        CONSTRUCT,
+        forced == sub == box_product(g, empty_graph(2, s)),
+        f"{len(forced.edges)} forced edges; {sub.n} vertices, {len(sub.edges)} edges",
+    )
     _exact_step(
         report,
-        f"preimage sum of the supergraph expansion of {g!r} equals its "
-        f"{s}-th product power",
-        lhs,
-        rhs,
-    )
-    # both put vertex (v, i) at index v*s + i, so the graphs are equal
-    report.add(
-        f"subdividing with the parallel gadget yields {s} disjoint copies",
-        CONSTRUCT,
-        sub == box_product(g, empty_graph(2, s)),
-        f"{sub.n} vertices, {len(sub.edges)} edges",
+        f"supergraph sum of the {s} copies of {g!r} equals the {s}-th product "
+        "power of its supergraph expansion",
+        nind(sub),
+        functools.reduce(product, [nind(g)] * s, unit(2)),
     )
     return report.done()
 

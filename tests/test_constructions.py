@@ -23,6 +23,7 @@ from hypalg import (
     even_expansion,
     even_scheme,
     extend_label_set,
+    functor_size,
     is_isomorphic,
     lift_labels,
     loose_expansion,
@@ -38,6 +39,7 @@ from hypalg import (
     triangle_scheme,
 )
 
+from hypalg import functors
 from oracles import brute_check_symmetry
 
 K2 = complete_graph(2, 2)
@@ -381,6 +383,39 @@ def _swap_sides(scheme, labeled, g):
 )
 def test_swap_matches_nind_of_the_subdivided_graph(name, labeled, base):
     assert alg_equal(*_swap_sides(_CATALOG[name], labeled, _BASES[base]))
+
+
+_LEMMA_BASES = {
+    **_BASES,
+    "K3": complete_graph(2, 3),
+    "E0": Graph(2, 0),
+    "K2+K1": Graph(2, 3, None, ((0, 1),)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, labeled, base",
+    [("copies:2", False, b) for b in ("K2", "P2", "K3", "E0", "K2+K1")]
+    # copies:3 on P2, K3 and K2+K1 leaves 2^27 to 2^33 completions, past the
+    # default budget; loose:3 on P2 takes about 7 s for 2,128 classes
+    + [("copies:3", False, b) for b in ("K2", "E0")]
+    + [
+        (name, False, b)
+        for name in _CATALOG
+        for b in ("K2", "P2")
+        if (name, b) != ("loose:3", "P2")
+    ]
+    + [("box", True, b) for b in ("K2", "P2")],
+)
+def test_operator_sends_a_supergraph_sum_to_that_of_the_forced_graph(name, labeled, base):
+    # the lemma at functors._forced_slots, literally: the enumerated preimage
+    # sum of nind(g) is nind(F(g)), coefficient for coefficient
+    scheme = copies_scheme(3) if name == "copies:3" else _CATALOG[name]
+    tau, g = scheme.transformation(labeled=labeled), _LEMMA_BASES[base]
+    image = operator_apply(tau, extend_label_set(nind(g), tau.base_labels))
+    slots = functors._forced_slots(tau, g)
+    forced = Graph(tau.r, functor_size(tau.eta, g.n), None, tuple(slots))
+    assert image.coeffs == nind(forced).coeffs
 
 
 def _g(r, n, *edges):

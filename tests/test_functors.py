@@ -33,6 +33,7 @@ from hypalg import (
     functor_to_text,
     lift,
     loose_scheme,
+    mixed_scheme,
     nind,
     operator_apply,
     path_graph,
@@ -102,6 +103,19 @@ def test_functor_size():
     assert functor_size(SubsetsF(2), 4) == 6
     assert functor_size(ConstF(1), 99) == 1
     assert functor_size(box_scheme().eta(), 4) == 8
+
+
+def test_functor_size_in_closed_form():
+    # no set is built: a constant set past any index fits, and every
+    # catalog scheme's eta has the size of its listed elements
+    assert functor_size(ConstF(10**30), 1) == 10**30
+    assert functor_size(ProductF(ConstF(10**30), SubsetsF(2)), 4) == 6 * 10**30
+    catalog = [f(k) for f in (blowup_scheme, copies_scheme, path_scheme) for k in (1, 2, 3)]
+    catalog += [box_scheme(), crossing_scheme(), triangle_scheme()]
+    catalog += [loose_scheme(3), loose_scheme(4), even_scheme(4), mixed_scheme(5, 2)]
+    for scheme in catalog:
+        for n in range(7):
+            assert functor_size(scheme.eta(), n) == len(apply_functor_set(scheme.eta(), n))
 
 
 def test_functor_text_round_trip():
@@ -516,6 +530,12 @@ _BRUTE_CASES = {
             base_labels=frozenset({0, 1, 2}),
         ),
         [Graph(2, 2, (0, 2), ((0, 1),)), Graph(2, 1, (2,)), Graph(2, 2, (0, 1))],
+    ),
+    # the one rule gives the default label 0, so its template is never
+    # forced: a vertex gets 0 with or without it
+    "box, the rule's label as default": (
+        dataclasses.replace(box_scheme().transformation(labeled=True), default_label=0),
+        [Graph(2, 2, (0, 0), ((0, 1),)), Graph(2, 1, (0,)), Graph(2, 2, (0, 1))],
     ),
     # both rules give the default label 2, so every vertex gets 2 whatever
     # the edges are, and a term with label 1 has no preimage

@@ -194,6 +194,57 @@ def test_verify_tensor_power():
         verify_tensor_power(Graph(2, 1, (1,)), 2)
 
 
+def test_tensor_report_makes_no_operator_call(monkeypatch):
+    from hypalg import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tensor report called the operator")
+
+    monkeypatch.setattr(harness, "operator_apply", refuse)
+    report = verify_tensor_power(K2, 3)
+    assert report.verdict
+    assert [s.kind for s in report.steps] == ["construction-equality", "exact-identity"]
+
+
+def test_tensor_exact_step_fails_on_a_wrong_power(monkeypatch):
+    from hypalg import harness, product
+
+    def spurious(f, g):
+        return product(f, g) + LinComb.from_graph(Graph(2, 1))
+
+    monkeypatch.setattr(harness, "product", spurious)
+    construct, exact = verify_tensor_power(K2, 2).steps
+    assert construct.passed
+    assert not exact.passed and exact.witness.startswith("difference at order")
+
+
+def test_tensor_construction_step_fails_on_a_wrong_forced_graph(monkeypatch):
+    from hypalg import functors, harness
+
+    def one_slot_short(tau, g):
+        return sorted(functors._forced_slots(tau, g))[1:]
+
+    monkeypatch.setattr(harness, "_forced_slots", one_slot_short)
+    construct, exact = verify_tensor_power(path_graph(2), 2).steps
+    assert not construct.passed
+    assert construct.witness == "3 forced edges; 6 vertices, 4 edges"
+    assert exact.passed
+
+
+def test_tensor_budget_bounds_the_subdivisions_supergraphs(monkeypatch):
+    # C4 with s = 2 subdivides to two disjoint 4-cycles: 28 - 8 = 20 absent
+    # pairs, 2^20 supergraphs, refused under 2^19 before any is canonicalised
+    from hypalg import algebra, functors
+
+    def canonicalise(*args, **kwargs):
+        raise AssertionError("a graph was canonicalised before the refusal")
+
+    for module in (algebra, functors):
+        monkeypatch.setattr(module, "canonical", canonicalise)
+    with pytest.raises(ResourceError, match="leaves 20 absent edge slots"):
+        verify_tensor_power(cycle_graph(4), 2, budget=1 << 19)
+
+
 def test_verify_gensubdivision_direct_swap(monkeypatch):
     # multiplicativity is cited, not checked: the swap is the report's one
     # operator_apply
