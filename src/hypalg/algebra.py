@@ -12,7 +12,10 @@ operator kernel, canonicalises one free subset per orbit, weighted by its
 size; below 6 free r-sets or for a trivial group every subset is. Orbit
 sizes are ints: each kernel sums them per class and multiplies a class's
 total by the Fraction coefficient once (`_add_tallied`), so the per-subset
-path does no Fraction arithmetic.
+path does no Fraction arithmetic. `_spanned` tallies each factor tuple,
+a pair of product terms or one `nind` term, once per process and shares
+the tally read-only, so a repeated product, lift step or supergraph sum
+only scales it.
 `lift` rewrites an element as a combination of classes of one fixed order
 by repeated product with the sum of all single-vertex classes, the identity
 of the quotient algebra.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import InputError
@@ -325,44 +329,51 @@ def _orbit_subsets(free: list, maps, groups=()):
         stack.append((i + 1, mask, images, subset))
 
 
-def _add_tallied(out: dict, c: Fraction, weighted) -> None:
-    """Add c times the summed weight of each class that `weighted` yields
-    as (class, int weight) pairs: the weights are summed per class as ints,
-    and each class costs one Fraction product and one `_add` when the
-    enumeration ends, not one per pair."""
+def _tally(weighted) -> dict[Graph, int]:
+    """The int weights of the (class, weight) pairs `weighted` yields,
+    summed per class, in first-seen order."""
     tally: dict[Graph, int] = {}
     for cls, k in weighted:
         tally[cls] = tally.get(cls, 0) + k
+    return tally
+
+
+def _add_tallied(out: dict, c: Fraction, tally: dict) -> None:
+    """Add c times each class's weight: one Fraction product per class."""
     for cls, k in tally.items():
         _add(out, cls, c * k)
 
 
-def _add_spanned(out: dict, c: Fraction, r: int, n: int, labels, base, free, factors):
-    """Add c to the class of every graph on [n] with these labels whose
-    edges are `base` plus a subset of `free`. The factors lie side by side
-    on [n], and their automorphisms fix the base edges and labels and
-    permute `free`, so one subset per orbit is canonicalised, weighted by
-    its size; the int weights are summed per class before c scales them.
-    Below 6 free r-sets listing the group costs more than it saves."""
+@cache
+def _spanned(factors: tuple) -> dict[Graph, int]:
+    """The weight per class of the graphs on the factors side by side:
+    their labels, their edges, and any subset of the free r-sets, which for
+    one factor are its absent ones (`nind`) and for two those meeting both
+    (`_product`). All of it is read off the factors, so the key fixes the
+    value; callers only read the shared tally. The cache is unbounded, like
+    `_CANON_CACHE` (ROADMAP item 3). One free subset per orbit of the
+    factors' automorphisms is canonicalised, weighted by its size; below 6
+    free r-sets listing the group costs more than it saves."""
+    gf, *rest = factors
+    r, n1, n = gf.r, gf.n, sum(h.n for h in factors)
+    labels = sum((h.labels for h in factors), ())
+    base = gf.edges + tuple(tuple(v + n1 for v in e) for h in rest for e in h.edges)
+    rsets = combinations(range(n), r)
+    free = [e for e in rsets if (e[0] < n1 <= e[-1] if rest else e not in gf.edge_set)]
     maps = _aut(factors) if len(free) >= 6 else ()
-    classes = (
+    return _tally(
         (canonical(Graph._trusted(r, n, labels, tuple(sorted(base + extra))))[0], orbit)
         for extra, orbit in _orbit_subsets(free, maps)
     )
-    _add_tallied(out, c, classes)
 
 
-def _product(r: int, f: dict, g: dict) -> dict:
+def _product(f: dict, g: dict) -> dict:
     """Coefficients of the product of two coefficient dicts: for each pair
     of terms, the base edges of both and any subset of the cross r-sets."""
     out: dict[Graph, Fraction] = {}
     for gf, a in f.items():
-        n1 = gf.n
         for gg, b in g.items():
-            n = n1 + gg.n
-            base = gf.edges + tuple(tuple(v + n1 for v in e) for e in gg.edges)
-            cross = [e for e in combinations(range(n), r) if e[0] < n1 <= e[-1]]
-            _add_spanned(out, a * b, r, n, gf.labels + gg.labels, base, cross, (gf, gg))
+            _add_tallied(out, a * b, _spanned((gf, gg)))
     return out
 
 
@@ -372,7 +383,7 @@ def product(f, g) -> LinComb:
     f = _coerce(f)
     g = _coerce(g, f.label_set)
     f._check_compatible(g)
-    return LinComb._raw(f.r, f.label_set, _product(f.r, f.coeffs, g.coeffs))
+    return LinComb._raw(f.r, f.label_set, _product(f.coeffs, g.coeffs))
 
 
 def nind(f, label_set=None) -> LinComb:
@@ -381,8 +392,7 @@ def nind(f, label_set=None) -> LinComb:
     f = _coerce(f, label_set)
     out: dict[Graph, Fraction] = {}
     for g, c in f.coeffs.items():
-        missing = [e for e in combinations(range(g.n), f.r) if e not in g.edge_set]
-        _add_spanned(out, c, f.r, g.n, g.labels, g.edges, missing, (g,))
+        _add_tallied(out, c, _spanned((g,)))
     return LinComb._raw(f.r, f.label_set, out)
 
 
@@ -407,7 +417,7 @@ def lift(f, n: int) -> UniformRep:
             if g.n == k:
                 _add(current, g, c)
         if k < n and current:
-            current = _product(f.r, current, points)
+            current = _product(current, points)
     return UniformRep(LinComb._raw(f.r, f.label_set, current), n)
 
 

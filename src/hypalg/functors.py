@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add_tallied, _aut, _coerce, _label_set, _orbit_subsets
+from .algebra import LinComb, _add_tallied, _aut, _coerce, _label_set, _orbit_subsets, _tally
 from .errors import InputError, ResourceError
 from .graphs import _INT, Graph, _ints, _moved, canonical
 
@@ -107,8 +108,11 @@ def apply_functor_set(eta, n: int) -> tuple:
     tagged (0, x) then (1, y); product elements are pairs in row-major
     order. The ordering is what gives graphs on eta([n]) stable vertex
     indices. The cache is typed, so an n of another type is checked afresh.
+    A size above `sys.maxsize`, which no tuple holds, raises `ResourceError`.
     """
-    (n,) = _ints((n,), "set size", 0)
+    size = functor_size(eta, n)  # checks eta and n
+    if size > sys.maxsize:
+        raise ResourceError(f"eta([{n}]) has {size} elements, more than a tuple can hold")
     if isinstance(eta, SubsetsF):
         return tuple(combinations(range(n), eta.k))
     if isinstance(eta, ConstF):
@@ -336,11 +340,11 @@ def _term_preimages(
     share, enumerates the free subsets with the groups as constraints, one
     per orbit of `algebra._aut((g,))` pushed through eta; each labelling of
     a kept E adds the orbit size |Aut(g)| / |Stab(E)|, an int, to the tally
-    of its class, and `algebra._add_tallied` adds coeff times each class's
-    tally to `out` once the enumeration ends. Labellings
-    need no orbit test of their own: a sigma with sigma(E) = E' maps the
-    labellings of E one to one onto those of E', each graph onto an
-    isomorphic one.
+    of its class (`algebra._tally`, uncached, as the budget depends on the
+    call), and `algebra._add_tallied` adds coeff times each class's tally
+    to `out` once the enumeration ends. Labellings need no orbit test of
+    their own: a sigma with sigma(E) = E' maps the labellings of E one to
+    one onto those of E', each graph onto an isomorphic one.
     """
     n = g.n
     w = functor_size(tau.eta, n)
@@ -405,7 +409,7 @@ def _term_preimages(
             for labs in iter_product(labelings, repeat=w):
                 yield canonical(Graph._trusted(tau.r, w, labs, edges))[0], orbit
 
-    _add_tallied(out, coeff, completions())
+    _add_tallied(out, coeff, _tally(completions()))
 
 
 def operator_apply(tau: UpwardTransformation, f, budget: int = DEFAULT_BUDGET) -> LinComb:

@@ -34,7 +34,7 @@ from hypalg import (
 from hypalg import algebra
 from hypalg.graphs import _moved, canonical
 from oracles import brute_class, brute_lift, brute_nind, brute_product, burnside_class_count
-from property_suites import run_alg_equal_one_order
+from property_suites import _random_graph, run_alg_equal_one_order
 
 K2 = complete_graph(2, 2)
 P2 = path_graph(2)
@@ -345,8 +345,58 @@ def test_nind_canonicalises_one_supergraph_per_orbit(monkeypatch):
         return canonical(h)
 
     monkeypatch.setattr(algebra, "canonical", counting)
+    algebra._spanned.cache_clear()  # the tensor tests also build nind(3K2)
     nind(Graph(2, 6, None, ((0, 1), (2, 3), (4, 5))))
     assert len(calls) <= 150
+
+
+def test_a_repeated_product_nind_or_lift_canonicalises_nothing(monkeypatch):
+    # each factor tuple is tallied once per process: the second identical
+    # call reads every tally back, with the same terms in the same order
+    f = LinComb(2, {0, 1}, {P2: 2, Graph(2, 2, (0, 1), ((0, 1),)): -1})
+    g = LinComb(2, {0, 1}, {K2: 1, Graph(2, 1, (1,)): Fraction(1, 2)})
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical(h)
+
+    monkeypatch.setattr(algebra, "canonical", counting)
+    algebra._spanned.cache_clear()
+    cold = [product(f, g), nind(f), lift(f, 5).lincomb]
+    assert calls
+    calls.clear()
+    warm = [product(f, g), nind(f), lift(f, 5).lincomb]
+    assert not calls
+    for a, b in zip(cold, warm):
+        assert a == b and list(a.coeffs) == list(b.coeffs)
+
+
+def test_cached_tallies_give_the_cold_results():
+    # seeded products, supergraph sums and lifts, each on an empty tally
+    # cache, then all again, in reverse, on the cache they filled
+    rng = random.Random("spanned tallies")
+    cases = []
+    for r, n_max in ((2, 3), (3, 2)):
+        for labels in ((0,), (0, 1)):
+
+            def lincomb():
+                terms = (_random_graph(rng, n_max, (r,), True, labels) for _ in range(2))
+                return LinComb(r, labels, {h: rng.randint(-3, 3) for h in terms})
+
+            cases += [(lincomb(), lincomb()) for _ in range(3)]
+
+    def results(f, g):
+        values = product(f, g), nind(f), lift(f, order(f) + 1).lincomb
+        return [list(h.coeffs.items()) for h in values]
+
+    cold = []
+    for f, g in cases:
+        algebra._spanned.cache_clear()
+        cold.append(results(f, g))
+    warm = [results(f, g) for f, g in reversed(cases)][::-1]
+    assert algebra._spanned.cache_info().hits > 0
+    assert warm == cold  # the same terms and coefficients, in the same order
 
 
 def test_alg_equal_ideal_relation():

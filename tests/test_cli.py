@@ -15,6 +15,7 @@ from hypalg import (
     scheme_to_text,
     subdivide,
 )
+from hypalg import algebra
 from hypalg.cli import _build_parser, main
 
 K2_TEXT = "graph{r=2;n=2;l=;e=(0 1)}"
@@ -105,6 +106,23 @@ def test_default_machine_reports_match_the_golden_file(capsys):
         assert main(["verify", target, "--format", "machine"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out).encode() == GOLDEN_MACHINE.read_bytes()
+
+
+def test_machine_reports_match_on_a_cold_and_a_warm_tally_cache(capsys):
+    # products and supergraph sums read each factor tuple's tally from a
+    # process-wide cache; a report prints the same bytes either way
+    args = (
+        ["verify", "goodman", "--format", "machine"],
+        ["verify", "tensor", "--graph", P2_TEXT, "--format", "machine"],
+    )
+    algebra._spanned.cache_clear()
+    runs = []
+    for _ in range(2):
+        for a in args:
+            assert main(a) == 0
+            runs.append(capsys.readouterr().out.encode())
+    assert algebra._spanned.cache_info().hits > 0
+    assert runs[:2] == runs[2:]
 
 
 def test_verify_custom_samples(capsys):

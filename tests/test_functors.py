@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -116,6 +117,21 @@ def test_functor_size_in_closed_form():
     for scheme in catalog:
         for n in range(7):
             assert functor_size(scheme.eta(), n) == len(apply_functor_set(scheme.eta(), n))
+
+
+def test_apply_functor_set_refuses_a_size_no_tuple_holds():
+    # the closed-form size is checked before any element is listed: 10**30
+    # constants, and the C(10**10, 2) ~ 5e19 pairs of SubsetsF(2)
+    tracemalloc.start()
+    try:
+        for eta, n in ((ConstF(10**30), 1), (SubsetsF(2), 10**10)):
+            size = functor_size(eta, n)
+            with pytest.raises(ResourceError, match=f"has {size} elements"):
+                apply_functor_set(eta, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_functor_text_round_trip():
@@ -647,6 +663,7 @@ def test_product_canonicalises_one_cross_subset_per_orbit(monkeypatch):
         return canonical(h)
 
     monkeypatch.setattr(algebra, "canonical", counting)
+    algebra._spanned.cache_clear()  # else earlier tests may hold the tallies
     product(f, g)
     assert len(calls) <= 400
 
