@@ -9,7 +9,9 @@ on the same vertices. Both are one sum: fixed base edges plus any subset
 of free r-sets, summed by class. `_aut` lists the group Aut(F) x Aut(G) of
 a product, or Aut(G) for `nind`, and `_orbit_subsets`, shared with the
 operator kernel, canonicalises one free subset per orbit, weighted by its
-size; below 6 free r-sets or for a trivial group every subset is. Orbit
+size; below 6 free r-sets or for a trivial group every subset is. It
+decides free r-sets top bit first and drops a prefix that a map fixing its
+decided r-sets sends lower. Orbit
 sizes are ints: each kernel sums them per class and multiplies a class's
 total by the Fraction coefficient once (`_add_tallied`), so the per-subset
 path does no Fraction arithmetic. `_spanned` tallies each factor tuple,
@@ -297,32 +299,45 @@ def _orbit_subsets(free: list, maps, groups=()):
     by its coefficient once per class (`_add_tallied`).
 
     With fewer than two maps and no groups, every subset is its own orbit,
-    in binary order. Otherwise free[i] is bit i of a mask, and a
-    depth-first search over `free` carries the mask, the subset it stands
-    for and its image under every map, identity included. A mask is kept
-    when no image is smaller, and its orbit has |G| / |Stab| members,
-    counting elements, not their actions, so distinct elements may act
-    alike.
+    in binary order. Otherwise free[i] is bit k-1-i of a mask, k = len(free),
+    and a depth-first search decides free[0], free[1], ... in turn, carrying
+    the mask, the subset it stands for and its image under every map,
+    identity included. A mask is kept when no image is smaller, and its
+    orbit has |G| / |Stab| members, counting elements, not their actions,
+    so distinct elements may act alike. A prefix, free[:i] decided, is
+    dropped when a map p sending free[:i] onto itself sends its mask lower
+    (orderly generation; Read, "Every one a winner", 1978): p then maps the
+    undecided free[i:], all less significant, onto themselves, so the top i
+    bits of p(M) are p(mask) and p(M) < M for every completion M.
     """
     if len(maps) < 2 and not groups:
         for bits in range(1 << len(free)):
             yield tuple([e for i, e in enumerate(free) if bits >> i & 1]), 1
         return
-    bit = {e: 1 << i for i, e in enumerate(free)}
+    k = len(free)
+    bit = {e: 1 << (k - 1 - i) for i, e in enumerate(free)}
     # columns[i] holds the bit that free[i] moves to under each map
     columns = list(zip(*([bit[e] for e in _moved(p, free)] for p in maps)))
+    # stabs[i] lists the maps sending free[:i], the bits of top, onto itself
+    stabs, reach, top = [], [0] * len(maps), 0
+    for i, column in enumerate(columns):
+        stabs.append([j for j, a in enumerate(reach) if a == top])
+        reach = [a | b for a, b in zip(reach, column)]
+        top |= 1 << (k - 1 - i)
     masks = [sum(bit[e] for e in grp) for grp in groups]
     member = [[m for m in masks if m & b] for b in bit.values()]
     stack = [(0, 0, [0] * len(maps), ())]
     while stack:
         i, mask, images, subset = stack.pop()
-        if i == len(free):
+        if i == k:
             if min(images) == mask:
                 yield subset, len(maps) // images.count(mask)
             continue
+        if min(map(images.__getitem__, stabs[i])) < mask:
+            continue
         # free[i] on, unless that turns all of one of its groups on; pushed
         # first so that the branch with it off runs first
-        on = mask | 1 << i
+        on = mask | 1 << (k - 1 - i)
         if all(on & m != m for m in member[i]):
             images_on = [a + b for a, b in zip(images, columns[i])]
             stack.append((i + 1, on, images_on, subset + (free[i],)))
@@ -352,8 +367,9 @@ def _spanned(factors: tuple) -> dict[Graph, int]:
     (`_product`). All of it is read off the factors, so the key fixes the
     value; callers only read the shared tally. The cache is unbounded, like
     `_CANON_CACHE` (ROADMAP item 3). One free subset per orbit of the
-    factors' automorphisms is canonicalised, weighted by its size; below 6
-    free r-sets listing the group costs more than it saves."""
+    factors' automorphisms, the least mask with free[0] as the top bit, is
+    canonicalised, weighted by its size; below 6 free r-sets listing the
+    group costs more than it saves."""
     gf, *rest = factors
     r, n1, n = gf.r, gf.n, sum(h.n for h in factors)
     labels = sum((h.labels for h in factors), ())

@@ -338,8 +338,9 @@ def _term_preimages(
     decided and the free slots each onto themselves and valid edge sets onto
     valid edge sets. `algebra._orbit_subsets`, which products and `nind`
     share, enumerates the free subsets with the groups as constraints, one
-    per orbit of `algebra._aut((g,))` pushed through eta; each labelling of
-    a kept E adds the orbit size |Aut(g)| / |Stab(E)|, an int, to the tally
+    per orbit of `algebra._aut((g,))` pushed through eta, deciding the
+    grouped slots first, as the top bits. Each labelling of a kept E adds
+    the orbit size |Aut(g)| / |Stab(E)|, an int, to the tally
     of its class (`algebra._tally`, uncached, as the budget depends on the
     call), and `algebra._add_tallied` adds coeff times each class's tally
     to `out` once the enumeration ends. Labellings need no orbit test of

@@ -299,15 +299,25 @@ def _orbit_subset_cases():
         if len(factors) > 1:
             frees.append([e for e in frees[0] if any(e[0] < c <= e[-1] for c in cut)])
         for free in frees:
-            if len(free) > 10:
-                continue
-            yield free, maps, ()
-            for _ in range(2):
-                groups = set()
-                for _ in range(rng.randint(1, 3)):
-                    some = rng.sample(free, min(len(free), rng.randint(1, 3)))
-                    groups |= {frozenset(_moved(p, some)) for p in maps}
-                yield free, maps, sorted(groups, key=sorted)
+            if len(free) <= 10:
+                yield from _with_groups(rng, free, maps)
+    # past that cut, where the search prunes deep prefixes: 3K2 (12 free
+    # pairs, |G| = 48) and the edgeless 5-vertex graph (10, |G| = 120)
+    for g in (Graph(2, 6, None, ((0, 1), (2, 3), (4, 5))), empty_graph(2, 5)):
+        free = [e for e in combinations(range(g.n), 2) if e not in g.edge_set]
+        yield from _with_groups(rng, free, algebra._aut((g,)))
+
+
+def _with_groups(rng, free, maps):
+    """(free, maps, groups) without groups, then with two seeded sets of
+    groups, each group's images under `maps` added, so closed under them."""
+    yield free, maps, ()
+    for _ in range(2):
+        groups = set()
+        for _ in range(rng.randint(1, 3)):
+            some = rng.sample(free, min(len(free), rng.randint(1, 3)))
+            groups |= {frozenset(_moved(p, some)) for p in maps}
+        yield free, maps, sorted(groups, key=sorted)
 
 
 def test_orbit_subsets_matches_brute_force():
@@ -333,6 +343,15 @@ def test_orbit_subsets_matches_brute_force():
             valid(frozenset(c)) for k in range(len(free) + 1) for c in combinations(free, k)
         )
         assert total == want, (free, maps, groups)
+
+
+def test_nind_of_the_edgeless_graph_is_the_lifted_unit():
+    # one orbit search over 15 free pairs under Sym(6) against products with
+    # a point, below the 6-slot threshold, with no group listed
+    sums = nind(empty_graph(2, 6))
+    assert sums == lift(unit(2), 6).lincomb
+    assert len(sums.coeffs) == burnside_class_count(2, 6) == 156
+    assert sum(sums.coeffs.values()) == 2**15
 
 
 def test_nind_canonicalises_one_supergraph_per_orbit(monkeypatch):
