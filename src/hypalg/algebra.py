@@ -11,13 +11,14 @@ a product, or Aut(G) for `nind`, and `_orbit_subsets`, shared with the
 operator kernel, canonicalises one free subset per orbit, weighted by its
 size; below 6 free r-sets or for a trivial group every subset is. It
 decides free r-sets top bit first and drops a prefix that a map fixing its
-decided r-sets sends lower. Orbit
-sizes are ints: each kernel sums them per class and multiplies a class's
-total by the Fraction coefficient once (`_add_tallied`), so the per-subset
-path does no Fraction arithmetic. `_spanned` tallies each factor tuple,
-a pair of product terms or one `nind` term, once per process and shares
-the tally read-only, so a repeated product, lift step or supergraph sum
-only scales it.
+decided r-sets sends lower. Orbit sizes are ints, and so is every sum of
+the kernels: `_scaled` writes the coefficients over one common denominator
+d as int numerators, a kernel adds numerator times orbit size per class,
+and `_fractions` builds one Fraction per class at the end, so no
+per-subset or per-term step does Fraction arithmetic. `_spanned` tallies
+each factor tuple, a pair of product terms or one `nind` term, once per
+process and shares the tally read-only, so a repeated product, lift step
+or supergraph sum only scales it.
 `lift` rewrites an element as a combination of classes of one fixed order
 by repeated product with the sum of all single-vertex classes, the identity
 of the quotient algebra.
@@ -83,13 +84,25 @@ def _label_set(values, what: str) -> frozenset:
     return labels
 
 
-def _add(out: dict, key, c: Fraction) -> None:
+def _add(out: dict, key, c) -> None:
     """Add c to out[key], dropping the key when the sum is zero."""
     c += out.get(key, 0)
     if c:
         out[key] = c
     else:
         out.pop(key, None)
+
+
+def _scaled(coeffs: dict) -> tuple[int, dict]:
+    """d, the lcm of the denominators of the Fraction values of `coeffs`,
+    and each value times d as an int."""
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    return d, {g: c.numerator * (d // c.denominator) for g, c in coeffs.items()}
+
+
+def _fractions(acc: dict, d: int) -> dict:
+    """Each int value v of `acc` as Fraction(v, d), the zeros dropped."""
+    return {g: Fraction(v, d) for g, v in acc.items() if v}
 
 
 class LinComb:
@@ -107,6 +120,8 @@ class LinComb:
         label_set = _label_set(label_set, "label set")
         norm: dict[Graph, Fraction] = {}
         for g, c in (coeffs or {}).items():
+            if not isinstance(g, Graph):
+                raise InputError(f"terms must be Graphs, got {type(g).__name__}")
             c = _as_fraction(c)
             if c == 0:
                 continue
@@ -295,8 +310,7 @@ def _orbit_subsets(free: list, maps, groups=()):
     orbit of the group `maps` of vertex maps, skipping subsets that hold
     every r-set of a group in `groups`. Every element must map `free` and
     the groups onto themselves; a subset lists its r-sets in `free` order.
-    Orbit sizes are ints, so a caller tallies them per class and scales
-    by its coefficient once per class (`_add_tallied`).
+    Orbit sizes are ints, so a caller sums them per class in ints.
 
     With fewer than two maps and no groups, every subset is its own orbit,
     in binary order. Otherwise free[i] is bit k-1-i of a mask, k = len(free),
@@ -353,12 +367,6 @@ def _tally(weighted) -> dict[Graph, int]:
     return tally
 
 
-def _add_tallied(out: dict, c: Fraction, tally: dict) -> None:
-    """Add c times each class's weight: one Fraction product per class."""
-    for cls, k in tally.items():
-        _add(out, cls, c * k)
-
-
 @cache
 def _spanned(factors: tuple) -> dict[Graph, int]:
     """The weight per class of the graphs on the factors side by side:
@@ -384,12 +392,15 @@ def _spanned(factors: tuple) -> dict[Graph, int]:
 
 
 def _product(f: dict, g: dict) -> dict:
-    """Coefficients of the product of two coefficient dicts: for each pair
-    of terms, the base edges of both and any subset of the cross r-sets."""
-    out: dict[Graph, Fraction] = {}
+    """The product of two dicts of int coefficients as one, a class whose
+    sum is 0 kept: for each pair of terms, the base edges of both and any
+    subset of the cross r-sets."""
+    out: dict[Graph, int] = {}
     for gf, a in f.items():
         for gg, b in g.items():
-            _add_tallied(out, a * b, _spanned((gf, gg)))
+            ab = a * b
+            for cls, k in _spanned((gf, gg)).items():
+                out[cls] = out.get(cls, 0) + ab * k
     return out
 
 
@@ -399,17 +410,23 @@ def product(f, g) -> LinComb:
     f = _coerce(f)
     g = _coerce(g, f.label_set)
     f._check_compatible(g)
-    return LinComb._raw(f.r, f.label_set, _product(f.coeffs, g.coeffs))
+    (d, a), (e, b) = _scaled(f.coeffs), _scaled(g.coeffs)
+    return LinComb._raw(f.r, f.label_set, _fractions(_product(a, b), d * e))
 
 
 def nind(f, label_set=None) -> LinComb:
     """Sum of all spanning supergraphs of each term (same vertices and
-    labels, any superset of the edges), weighted by the term coefficient."""
+    labels, any superset of the edges), weighted by the term coefficient.
+    A given label set must be f's."""
     f = _coerce(f, label_set)
-    out: dict[Graph, Fraction] = {}
-    for g, c in f.coeffs.items():
-        _add_tallied(out, c, _spanned((g,)))
-    return LinComb._raw(f.r, f.label_set, out)
+    if label_set is not None and _label_set(label_set, "label set") != f.label_set:
+        raise InputError(f"label set {sorted(label_set)} is not f's {sorted(f.label_set)}")
+    d, scaled = _scaled(f.coeffs)
+    out: dict[Graph, int] = {}
+    for g, c in scaled.items():
+        for cls, k in _spanned((g,)).items():
+            out[cls] = out.get(cls, 0) + c * k
+    return LinComb._raw(f.r, f.label_set, _fractions(out, d))
 
 
 def lift(f, n: int) -> UniformRep:
@@ -418,7 +435,9 @@ def lift(f, n: int) -> UniformRep:
     Requires n >= the order of every term. Lifting is repeated product with
     the point sum, the identity of the quotient: terms join in order of
     their vertex count and each step multiplies by it, so a term of order
-    k is multiplied n - k times and classes merge after every step.
+    k is multiplied n - k times and classes merge after every step. The
+    point sum's coefficients are 1, so the steps keep f's int numerators
+    over its one denominator.
     """
     f = _coerce(f)
     (n,) = _ints((n,), "order")
@@ -426,15 +445,16 @@ def lift(f, n: int) -> UniformRep:
         raise InputError(
             f"cannot lift to order {n}: a term already has order {order(f)}"
         )
-    points = point_sum(f.r, f.label_set).coeffs
-    current: dict[Graph, Fraction] = {}
+    points = dict.fromkeys(point_sum(f.r, f.label_set).coeffs, 1)
+    d, scaled = _scaled(f.coeffs)
+    current: dict[Graph, int] = {}
     for k in range(n + 1):
-        for g, c in f.coeffs.items():
+        for g, c in scaled.items():
             if g.n == k:
                 _add(current, g, c)
         if k < n and current:
-            current = _product(current, points)
-    return UniformRep(LinComb._raw(f.r, f.label_set, current), n)
+            current = {h: v for h, v in _product(current, points).items() if v}
+    return UniformRep(LinComb._raw(f.r, f.label_set, _fractions(current, d)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +494,28 @@ def eval_quasirandom(f, p) -> Fraction:
     """Evaluate at the quasirandom point with edge density p.
 
     Sends the class of a graph with v vertices and e edges to
-    p^e (1-p)^(C(v,r)-e) |U|^(-v), extended linearly. Exact in Fraction
-    arithmetic; p must be a Fraction or int in [0, 1].
+    p^e (1-p)^(C(v,r)-e) |U|^(-v), extended linearly; p must be a Fraction
+    or int in [0, 1]. With p = a/b, m = C(v,r), M = C(V,r) and V the
+    largest order, a class's value is a^e (b-a)^(m-e) b^(M-m) |U|^(V-v)
+    over b^M |U|^V, so the int numerators of the coefficients over their
+    common denominator d are summed by shape and divided once.
     """
     f = _coerce(f)
     p = _probability(p)
-    u = Fraction(1, len(f.label_set))
+    a, b, u = p.numerator, p.denominator, len(f.label_set)
+    d, scaled = _scaled(f.coeffs)
     # the value depends on a class only through its shape (v, e)
-    by_shape: dict[tuple[int, int], Fraction] = {}
-    for g, c in f.coeffs.items():
+    by_shape: dict[tuple[int, int], int] = {}
+    for g, c in scaled.items():
         shape = (g.n, len(g.edges))
         by_shape[shape] = by_shape.get(shape, 0) + c
-    total = Fraction(0)
+    top = max((v for v, _ in by_shape), default=0)
+    big_m = math.comb(top, f.r)
+    total = 0
     for (v, e), c in by_shape.items():
-        total += c * p**e * (1 - p) ** (math.comb(v, f.r) - e) * u**v
-    return total
+        m = math.comb(v, f.r)
+        total += c * a**e * (b - a) ** (m - e) * b ** (big_m - m) * u ** (top - v)
+    return Fraction(total, d * b**big_m * u**top)
 
 
 def extend_label_set(f, label_set) -> LinComb:

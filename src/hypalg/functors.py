@@ -38,11 +38,10 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .algebra import LinComb, _add_tallied, _aut, _coerce, _label_set, _orbit_subsets, _tally
+from .algebra import LinComb, _aut, _coerce, _fractions, _label_set, _orbit_subsets, _scaled
 from .errors import InputError, ResourceError
 from .graphs import _INT, Graph, _ints, _moved, canonical
 
@@ -319,10 +318,10 @@ def _forced_slots(tau: UpwardTransformation, g: Graph) -> set:
 
 
 def _term_preimages(
-    tau: UpwardTransformation, g: Graph, coeff: Fraction, out: dict, budget: int
+    tau: UpwardTransformation, g: Graph, coeff: int, out: dict, budget: int
 ) -> None:
-    """Add coeff times the class of every graph H on eta([n]) with
-    tau(H) = g to `out`, where n = v(g).
+    """Add the int coeff times the class of every graph H on eta([n]) with
+    tau(H) = g to the int sums of `out`, where n = v(g).
 
     Slots are the r-sets of eta([n]). A completion is an edge set E with a
     labelling of eta([n]). E holds the slots g forces on and free slots
@@ -340,10 +339,9 @@ def _term_preimages(
     share, enumerates the free subsets with the groups as constraints, one
     per orbit of `algebra._aut((g,))` pushed through eta, deciding the
     grouped slots first, as the top bits. Each labelling of a kept E adds
-    the orbit size |Aut(g)| / |Stab(E)|, an int, to the tally
-    of its class (`algebra._tally`, uncached, as the budget depends on the
-    call), and `algebra._add_tallied` adds coeff times each class's tally
-    to `out` once the enumeration ends. Labellings need no orbit test of
+    coeff times the orbit size |Aut(g)| / |Stab(E)|, an int, to the sum of
+    its class in `out`; `operator_apply` turns the sums into Fractions once
+    the last term is done. Labellings need no orbit test of
     their own: a sigma with sigma(E) = E' maps the labellings of E one to
     one onto those of E', each graph onto an isomorphic one.
     """
@@ -400,17 +398,15 @@ def _term_preimages(
     maps = [_positions(tau.eta, n, sigma) for sigma in _aut((g,))] if free else ()
     base = tuple(forced)
 
-    def completions():
-        for subset, orbit in _orbit_subsets(free, maps, groups):
-            edges = tuple(sorted(base + subset))
-            if postcheck and any(
-                _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
-            ):
-                continue
-            for labs in iter_product(labelings, repeat=w):
-                yield canonical(Graph._trusted(tau.r, w, labs, edges))[0], orbit
-
-    _add_tallied(out, coeff, _tally(completions()))
+    for subset, orbit in _orbit_subsets(free, maps, groups):
+        edges = tuple(sorted(base + subset))
+        if postcheck and any(
+            _vertex_label(tau, n, edges, v) != g.labels[v] for v in postcheck
+        ):
+            continue
+        for labs in iter_product(labelings, repeat=w):
+            cls = canonical(Graph._trusted(tau.r, w, labs, edges))[0]
+            out[cls] = out.get(cls, 0) + coeff * orbit
 
 
 def operator_apply(tau: UpwardTransformation, f, budget: int = DEFAULT_BUDGET) -> LinComb:
@@ -428,10 +424,11 @@ def operator_apply(tau: UpwardTransformation, f, budget: int = DEFAULT_BUDGET) -
             f"operator consumes label set {sorted(tau.base_labels)}, "
             f"got {sorted(f.label_set)}"
         )
-    out: dict[Graph, Fraction] = {}
-    for g, c in f.coeffs.items():
+    d, scaled = _scaled(f.coeffs)
+    out: dict[Graph, int] = {}
+    for g, c in scaled.items():
         _term_preimages(tau, g, c, out, budget)
-    return LinComb._raw(tau.r, tau.labels, out)
+    return LinComb._raw(tau.r, tau.labels, _fractions(out, d))
 
 
 # ---------------------------------------------------------------------------

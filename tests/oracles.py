@@ -8,8 +8,11 @@ search, which pins the exact representatives the current one must keep
 producing; `brute_well_defined`, which applies the rules through the
 package's `tau_apply` and maps each permutation through the functor with
 `functors._positions`, so that it checks the rules as they are actually
-evaluated; and `brute_operator_apply`, which likewise applies
-the rules through `tau_apply` and keys classes by `reference_canonical`.
+evaluated; `brute_operator_apply`, which likewise applies
+the rules through `tau_apply` and keys classes by `reference_canonical`;
+and `inclusion_exclusion_operator_apply`, which reaches past the brute
+force by inverting the package's `nind` over the slots each term forces
+(`functors._forced_slots`).
 
 `brute_product`, `brute_nind` and `brute_lift` take the package's
 `LinComb` as input only for its terms and label set; they enumerate every
@@ -26,8 +29,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iter_product
 from types import SimpleNamespace
 
-from hypalg import Graph, functor_size, tau_apply
-from hypalg.functors import _positions
+from hypalg import Graph, LinComb, functor_size, nind, tau_apply
+from hypalg.functors import _forced_slots, _positions
 
 
 def brute_canonical(g: Graph):
@@ -209,6 +212,48 @@ def brute_operator_apply(tau, f) -> dict:
             if tau_apply(tau, h, g.n) == g:
                 pairs.append((h, c))
     return _accumulate(pairs, lambda h: reference_canonical(h)[0])
+
+
+def inclusion_exclusion_operator_apply(tau, f) -> LinComb:
+    """The preimage sum by Moebius inversion, for a tau with at most one
+    vertex rule. A graph H on eta([n]), n = v(G), has tau(H) = G iff H holds
+    the slots F(G) that G forces (`functors._forced_slots`) and, of each
+    constraint, not every slot: the edge template's copy on eta(e) for each
+    non-edge e of G, and the rule's template on eta({v}) for each vertex v
+    with the default label when the rule gives another; a vertex label no
+    rule gives has no preimage. Inclusion-exclusion over the constraints
+    gives operator(G) = sum over sets S of constraints of
+    (-1)^|S| nind(F(G, S)), F(G, S) being F(G) with the slots of S on, in
+    every labelling of eta([n]) by tau's input labels. The forced, off and
+    group logic of the operator, its orbit search and its budget are not
+    used: only `nind` and `canonical` are shared."""
+    if len(tau.vertex_rules) > 1:
+        raise ValueError("the inversion needs at most one vertex rule")
+    rule_label, template = (tau.vertex_rules or [(tau.default_label, None)])[0]
+    coeffs = {}
+    for g, c in f.coeffs.items():
+        if any(lab not in (rule_label, tau.default_label) for lab in g.labels):
+            continue
+
+        def copy(sub, t):
+            pos = _positions(tau.eta, g.n, sub)
+            return {tuple(sorted(pos[i] for i in e)) for e in t.edges}
+
+        constraints = [
+            copy(e, tau.edge_template)
+            for e in combinations(range(g.n), tau.base_r)
+            if e not in g.edge_set
+        ]
+        constraints += [copy((v,), template) for v, lab in enumerate(g.labels) if lab != rule_label]
+        w = functor_size(tau.eta, g.n)
+        forced = _forced_slots(tau, g)
+        for size in range(len(constraints) + 1):
+            for subset in combinations(constraints, size):
+                edges = tuple(sorted(forced.union(*subset)))
+                for labs in iter_product(sorted(tau.labels), repeat=w):
+                    h = Graph(tau.r, w, labs, edges)
+                    coeffs[h] = coeffs.get(h, 0) + (-1) ** size * c
+    return nind(LinComb(tau.r, tau.labels, coeffs))
 
 
 def brute_inj_count(g: Graph, h: Graph) -> int:

@@ -14,8 +14,10 @@ from hypalg import (
     LinComb,
     UniformRep,
     alg_equal,
+    box_scheme,
     coeff_positive_at,
     complete_graph,
+    copies_scheme,
     cycle_graph,
     empty_graph,
     eval_quasirandom,
@@ -24,6 +26,7 @@ from hypalg import (
     lincomb_from_text,
     lincomb_to_text,
     nind,
+    operator_apply,
     order,
     path_graph,
     point,
@@ -66,6 +69,8 @@ def test_lincomb_validation():
         LinComb(2, set(), {})
     with pytest.raises(InputError):
         LinComb.from_graph(K2, coeff=0.5)  # floats refused
+    with pytest.raises(InputError, match="terms must be Graphs"):
+        LinComb(2, {0}, {"x": 1})
 
 
 def test_compatibility_checks():
@@ -125,6 +130,11 @@ def test_nind_frozen():
     got = nind(LinComb.from_graph(lab, {0, 1}))
     assert got.coefficient(Graph(2, 2, (0, 1), ((0, 1),))) == 1
     assert len(got.coeffs) == 2
+    # a label set given with a combination must be the combination's own
+    assert nind(LinComb.from_graph(K2), {0}) == nind(K2)
+    assert nind(K2, {0, 1}).label_set == {0, 1}
+    with pytest.raises(InputError, match="label set"):
+        nind(LinComb.from_graph(K2), {0, 1})
 
 
 def test_unit_expansion_order_three():
@@ -416,6 +426,70 @@ def test_cached_tallies_give_the_cold_results():
     warm = [results(f, g) for f, g in reversed(cases)][::-1]
     assert algebra._spanned.cache_info().hits > 0
     assert warm == cold  # the same terms and coefficients, in the same order
+
+
+def _fraction_sum(zero: LinComb, parts) -> LinComb:
+    """The sum of c * value over the (c, value) pairs, by LinComb's scalar
+    * and +: one Fraction per term and class, the zeros dropped as it goes."""
+    for c, value in parts:
+        zero = zero + c * value
+    return zero
+
+
+def test_integer_sums_match_term_by_term_fraction_sums():
+    # coprime and large denominators, so the common denominator of a kernel
+    # is a product of several; each term alone has coefficient 1, so its
+    # kernel sums over denominator 1 and LinComb scales the result
+    hard = [Fraction(1, 3), Fraction(-5, 7), Fraction(11, 13), Fraction(1, 2**61 - 1)]
+    points = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(1, 10**40 + 1)]
+    rng = random.Random("one common denominator")
+    for r in (2, 3):
+        for label_set in (frozenset({0}), frozenset({0, 1})):
+            labels = tuple(sorted(label_set))
+
+            def comb(n_max, terms):
+                terms = (_random_graph(rng, n_max, (r,), True, labels) for _ in range(terms))
+                return LinComb(r, label_set, {h: rng.choice(hard) for h in terms})
+
+            def one(h):
+                return LinComb.from_graph(h, label_set)
+
+            for _ in range(3):
+                f, g = comb(3, 3), comb(2, 2)
+                n = max(order(f), order(g)) + 1
+                pairs = [(x, a, y, b) for x, a in f.coeffs.items() for y, b in g.coeffs.items()]
+                lifted = lift(f, n).lincomb
+                checks = [
+                    (product(f, g), [(a * b, product(one(x), one(y))) for x, a, y, b in pairs]),
+                    (nind(f), [(c, nind(one(x))) for x, c in f.coeffs.items()]),
+                    (lifted, [(c, lift(one(x), n).lincomb) for x, c in f.coeffs.items()]),
+                ]
+                if r == 2:
+                    for scheme in (box_scheme(), copies_scheme(2)):
+                        tau = scheme.transformation(labeled=len(labels) == 2)
+                        terms = [(c, operator_apply(tau, one(x))) for x, c in g.coeffs.items()]
+                        checks.append((operator_apply(tau, g), terms))
+                for got, parts in checks:
+                    assert got == _fraction_sum(LinComb.zero(got.r, got.label_set), parts)
+                    assert all(type(c) is Fraction and c for c in got.coeffs.values())
+                top = next(iter(lifted.coeffs))
+                assert alg_equal(f, lifted)
+                assert not alg_equal(f, lifted + hard[-1] * one(top))
+                h = f - g
+                for p in points:
+                    want = sum(
+                        c * p**x.e * (1 - p) ** (math.comb(x.n, r) - x.e) / len(labels) ** x.n
+                        for x, c in h.coeffs.items()
+                    )
+                    got = eval_quasirandom(h, p)
+                    assert type(got) is Fraction and got == want, (h, p)
+    # a class whose partial sums cancel is dropped: P2 gets 2c from K2 times
+    # a point and -2c from -2c I2 times it, K2 gets c and -c in nind
+    c, i2 = hard[-1], LinComb.from_graph(empty_graph(2, 2))
+    f = c * LinComb.from_graph(K2) - 2 * c * i2
+    want = c * LinComb.from_graph(K3) - 3 * c * LinComb.from_graph(P2C) - 2 * c * LinComb.from_graph(I3)
+    assert product(f, point(2, 0)) == lift(f, 3).lincomb == want
+    assert nind(c * LinComb.from_graph(K2) - c * i2).coeffs == {empty_graph(2, 2): -c}
 
 
 def test_alg_equal_ideal_relation():

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -46,7 +47,12 @@ from hypalg import (
     triangle_scheme,
 )
 from hypalg import algebra, functors, graphs
-from oracles import brute_operator_apply, brute_well_defined, reference_canonical
+from oracles import (
+    brute_operator_apply,
+    brute_well_defined,
+    inclusion_exclusion_operator_apply,
+    reference_canonical,
+)
 
 
 def test_apply_functor_set_orderings():
@@ -583,6 +589,48 @@ def test_operator_matches_brute_force(case):
         by_class = {reference_canonical(h)[0]: c for h, c in got.coeffs.items()}
         assert len(by_class) == len(got.coeffs)
         assert by_class == brute_operator_apply(tau, f), (case, term)
+
+
+# the catalog's schemes; loose:3 reads 3-uniform graphs on eta([n]), where
+# one edgeless 3-vertex term takes seconds, so its terms keep to 2 vertices
+_CATALOG = {
+    "blowup:1": (blowup_scheme(1), 3),
+    "blowup:2": (blowup_scheme(2), 3),
+    "copies:2": (copies_scheme(2), 3),
+    "path:2": (path_scheme(2), 3),
+    "triangle": (triangle_scheme(), 3),
+    "box": (box_scheme(), 3),
+    "crossing": (crossing_scheme(), 3),
+    "loose:3": (loose_scheme(3), 2),
+    "even:4": (even_scheme(4), 3),
+}
+_CATALOG_TAUS = {
+    f"{name}{'/dump' * labeled}": (scheme.transformation(labeled), n_max)
+    for name, (scheme, n_max) in _CATALOG.items()
+    for labeled in (False, True)
+}
+# a term label that no rule gives: beside the one rule, and where the one
+# rule gives the default label
+for _case in ("box/dump, a third label", "box, the rule's label as default"):
+    _CATALOG_TAUS[_case] = _BRUTE_CASES[_case][0], 3
+_NON_UNIT = [Fraction(-5, 7), Fraction(3, 2), Fraction(11, 13), Fraction(-2), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("case", sorted(_CATALOG_TAUS))
+def test_operator_matches_inclusion_exclusion(case):
+    # an algorithm sharing only nind and canonical with the operator; on 3
+    # vertices eta([3]) has 6 elements, past the brute force's reach
+    tau, n_max = _CATALOG_TAUS[case]
+    rng = random.Random(f"inclusion-exclusion {case}")
+    for _ in range(6):
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(0, n_max)
+            labels = [rng.choice(sorted(tau.base_labels)) for _ in range(n)]
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            coeffs[Graph(2, n, labels, edges)] = rng.choice(_NON_UNIT)
+        f = LinComb(2, tau.base_labels, coeffs)
+        assert operator_apply(tau, f) == inclusion_exclusion_operator_apply(tau, f), f
 
 
 def test_trusted_values_are_in_normal_form():
